@@ -29,14 +29,39 @@ import (
 )
 
 // -bench-out makes every benchmark that reports metrics also dump them —
-// plus its ns/op — to BENCH_<name>.json in the given directory, so CI and
-// sweep scripts can diff runs without scraping `go test -bench` output.
+// plus its ns/op, allocs/op and bytes/op — to BENCH_<name>.json in the
+// given directory, so CI and sweep scripts can diff runs without
+// scraping `go test -bench` output.
 var benchOut = flag.String("bench-out", "", "directory for per-benchmark BENCH_<name>.json metric dumps")
+
+// benchRecord is one benchmark's staged BENCH_<name>.json: its reported
+// metrics and the heap counters when measure started it.
+type benchRecord struct {
+	metrics        map[string]float64
+	mallocs, bytes uint64
+}
 
 var (
 	benchMu      sync.Mutex
-	benchMetrics = make(map[string]map[string]float64)
+	benchRecords = make(map[string]*benchRecord)
 )
+
+// measure starts the measured part of b, after any set-up: it resets
+// the timer, turns on allocation reporting and, when -bench-out is set,
+// snapshots the heap counters for the dump's allocs_per_op and
+// bytes_per_op. Every benchmark that calls report calls it first.
+func measure(b *testing.B) {
+	b.ReportAllocs()
+	if *benchOut != "" {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		benchMu.Lock()
+		benchRecords[b.Name()] = &benchRecord{metrics: map[string]float64{}, mallocs: ms.Mallocs, bytes: ms.TotalAlloc}
+		benchMu.Unlock()
+		b.Cleanup(func() { flushBench(b) })
+	}
+	b.ResetTimer()
+}
 
 // report forwards to b.ReportMetric and, when -bench-out is set, stages
 // the metric for the benchmark's JSON dump (flushed via b.Cleanup).
@@ -46,24 +71,28 @@ func report(b *testing.B, v float64, unit string) {
 		return
 	}
 	benchMu.Lock()
-	defer benchMu.Unlock()
-	m, ok := benchMetrics[b.Name()]
-	if !ok {
-		m = make(map[string]float64)
-		benchMetrics[b.Name()] = m
-		b.Cleanup(func() { flushBench(b) })
+	rec := benchRecords[b.Name()]
+	if rec != nil {
+		rec.metrics[unit] = v
 	}
-	m[unit] = v
+	benchMu.Unlock()
+	if rec == nil {
+		b.Fatalf("bench-out: %s reports %q without calling measure first", b.Name(), unit)
+	}
 }
 
 func flushBench(b *testing.B) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	benchMu.Lock()
-	m := benchMetrics[b.Name()]
-	delete(benchMetrics, b.Name())
+	rec := benchRecords[b.Name()]
+	delete(benchRecords, b.Name())
 	benchMu.Unlock()
+	m := rec.metrics
 	// A parent benchmark that aggregates its sub-benchmarks reports
 	// explicit ns_per_op_<variant> metrics; its own elapsed/N would be
-	// the whole suite's wall time, so skip the automatic ns_per_op then.
+	// the whole suite's wall time, so skip the automatic per-op costs
+	// then.
 	aggregated := false
 	for unit := range m {
 		if strings.HasPrefix(unit, "ns_per_op_") {
@@ -71,7 +100,10 @@ func flushBench(b *testing.B) {
 		}
 	}
 	if b.N > 0 && !aggregated {
-		m["ns_per_op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		n := float64(b.N)
+		m["ns_per_op"] = float64(b.Elapsed().Nanoseconds()) / n
+		m["allocs_per_op"] = float64(ms.Mallocs-rec.mallocs) / n
+		m["bytes_per_op"] = float64(ms.TotalAlloc-rec.bytes) / n
 	}
 	name := strings.NewReplacer("/", "_", "=", "_").Replace(strings.TrimPrefix(b.Name(), "Benchmark"))
 	data, err := json.MarshalIndent(m, "", " ")
@@ -128,6 +160,7 @@ func BenchmarkTable3(b *testing.B) {
 // and FPS for 1..4 concurrent video players on the baseline.
 func BenchmarkFig02(b *testing.B) {
 	var f *experiments.Fig02
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		var err error
 		f, err = experiments.RunFig02(benchDur)
@@ -145,6 +178,7 @@ func BenchmarkFig02(b *testing.B) {
 // memory bandwidth under 1..4 apps plus the ideal memory.
 func BenchmarkFig03(b *testing.B) {
 	var f *experiments.Fig03
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		var err error
 		f, err = experiments.RunFig03(benchDur)
@@ -163,6 +197,7 @@ func BenchmarkFig03(b *testing.B) {
 // BenchmarkFig05 regenerates Figure 5: the tap-interval distribution.
 func BenchmarkFig05(b *testing.B) {
 	var f *experiments.Fig05
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		f = experiments.RunFig05(24000, 1)
 	}
@@ -172,6 +207,7 @@ func BenchmarkFig05(b *testing.B) {
 // BenchmarkFig06 regenerates Figure 6: flick burstability.
 func BenchmarkFig06(b *testing.B) {
 	var f *experiments.Fig06
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		f = experiments.RunFig06(200*60*sim.Second, 1)
 	}
@@ -182,6 +218,7 @@ func BenchmarkFig06(b *testing.B) {
 // BenchmarkFig14 regenerates Figure 14a: flow time vs lane buffer size.
 func BenchmarkFig14(b *testing.B) {
 	var f *experiments.Fig14
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		var err error
 		f, err = experiments.RunFig14(benchDur)
@@ -198,6 +235,7 @@ func BenchmarkFig14(b *testing.B) {
 func BenchmarkFig15(b *testing.B) {
 	sw := sharedSweep(b)
 	var avg []float64
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		_, avg = sw.NormalizedEnergy()
 	}
@@ -210,6 +248,7 @@ func BenchmarkFig15(b *testing.B) {
 func BenchmarkFig16(b *testing.B) {
 	sw := sharedSweep(b)
 	var eRed, iRed, intrBase, intrFB float64
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		eRed, iRed, intrBase, intrFB = 0, 0, 0, 0
 		n := float64(len(sw.Cells))
@@ -231,6 +270,7 @@ func BenchmarkFig16(b *testing.B) {
 func BenchmarkFig17(b *testing.B) {
 	sw := sharedSweep(b)
 	var avg []float64
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		_, avg = sw.NormalizedFlowTime()
 	}
@@ -243,6 +283,7 @@ func BenchmarkFig17(b *testing.B) {
 func BenchmarkFig18(b *testing.B) {
 	sw := sharedSweep(b)
 	var avg []float64
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		_, avg = sw.NormalizedViolations()
 	}
@@ -262,8 +303,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		e.After(sim.Time(i%7), fn)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		e.After(3, fn)
 		e.Step()
@@ -280,8 +320,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 	for i := 0; i < 512; i++ {
 		e.After(sim.Time((i*37)%101), fn)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	measure(b)
 	var k sim.Time
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 4; j++ {
@@ -307,6 +346,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 // "when partitioning does not help" case), while CI runs this at
 // GOMAXPROCS 2 and 8.
 func BenchmarkEnginePartitioned(b *testing.B) {
+	measure(b)
 	scen := partition.ChainScenario{
 		Chains:   256,
 		Hops:     6,
@@ -324,8 +364,7 @@ func BenchmarkEnginePartitioned(b *testing.B) {
 	for _, domains := range []int{1, 2, 4, 8} {
 		domains := domains
 		b.Run(fmt.Sprintf("domains=%d", domains), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
+			measure(b)
 			for i := 0; i < b.N; i++ {
 				got := scen.Run(domains)
 				if got.Events != want.Events || got.Checksum != want.Checksum {
@@ -369,6 +408,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 			prev := parallel.SetJobs(jobs)
 			defer parallel.SetJobs(prev)
 			var sw *experiments.ModeSweep
+			measure(b)
 			for i := 0; i < b.N; i++ {
 				var err error
 				sw, err = experiments.RunModeSweep(benchDur)
@@ -410,6 +450,7 @@ func spin(n int) {
 // producer and worker serializes on one lock, so ns/op climbs with the
 // producer count instead of staying flat.
 func BenchmarkPoolSubmit(b *testing.B) {
+	measure(b)
 	nsPerOp := map[int]float64{}
 	for _, prod := range poolProducers {
 		prod := prod
@@ -418,7 +459,7 @@ func BenchmarkPoolSubmit(b *testing.B) {
 			defer p.Close()
 			per := (b.N + prod - 1) / prod
 			var wg sync.WaitGroup
-			b.ResetTimer()
+			measure(b)
 			for c := 0; c < prod; c++ {
 				wg.Add(1)
 				go func() {
@@ -454,6 +495,7 @@ func BenchmarkPoolSubmit(b *testing.B) {
 // deadline-reorder stage is actually exercised (every submission is
 // "more urgent" than the last, the worst case for an EDF queue).
 func BenchmarkPoolDispatch(b *testing.B) {
+	measure(b)
 	nsPerOp := map[int]float64{}
 	for _, prod := range poolProducers {
 		prod := prod
@@ -467,7 +509,7 @@ func BenchmarkPoolDispatch(b *testing.B) {
 			}
 			per := (b.N + prod - 1) / prod
 			var wg sync.WaitGroup
-			b.ResetTimer()
+			measure(b)
 			for c := 0; c < prod; c++ {
 				wg.Add(1)
 				go func() {
@@ -511,7 +553,7 @@ func BenchmarkSweepSteal(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			prev := parallel.SetJobs(workers)
 			defer parallel.SetJobs(prev)
-			b.ResetTimer()
+			measure(b)
 			for i := 0; i < b.N; i++ {
 				err := parallel.Do(indices, func(j int) error {
 					if j%64 == 0 {
@@ -537,6 +579,7 @@ func BenchmarkSweepSteal(b *testing.B) {
 // baseline).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	var frames int
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		rep, err := experiments.Run(experiments.Config{
 			Mode:     platform.Baseline,
@@ -555,6 +598,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // RR vs fixed Priority) on the decoder-sharing workload W1.
 func BenchmarkAblationScheduler(b *testing.B) {
 	var st *experiments.SchedulerStudy
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		var err error
 		st, err = experiments.RunSchedulerStudy("W1", benchDur)
@@ -570,6 +614,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 // BenchmarkAblationBurst sweeps the frame-burst size.
 func BenchmarkAblationBurst(b *testing.B) {
 	var s *experiments.Sweep
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		var err error
 		s, err = experiments.RunBurstSweep(benchDur)
@@ -584,6 +629,7 @@ func BenchmarkAblationBurst(b *testing.B) {
 // BenchmarkAblationLanes sweeps the virtual-lane count on W2.
 func BenchmarkAblationLanes(b *testing.B) {
 	var s *experiments.Sweep
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		var err error
 		s, err = experiments.RunLaneSweep(benchDur)
@@ -599,6 +645,7 @@ func BenchmarkAblationLanes(b *testing.B) {
 // context-switch thrash cliff at zero.
 func BenchmarkAblationPatience(b *testing.B) {
 	var s *experiments.Sweep
+	measure(b)
 	for i := 0; i < b.N; i++ {
 		var err error
 		s, err = experiments.RunPatienceSweep(benchDur)
@@ -624,6 +671,7 @@ func BenchmarkRunner(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var res *vip.Result
+			measure(b)
 			for i := 0; i < b.N; i++ {
 				var err error
 				res, err = vip.Simulate(vip.Scenario{

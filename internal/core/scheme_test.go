@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/vipsim/vip/internal/app"
+	"github.com/vipsim/vip/internal/energy"
 	"github.com/vipsim/vip/internal/ipcore"
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
@@ -193,7 +194,7 @@ func TestIPStatUnknownKind(t *testing.T) {
 
 func TestEnergyBreakdownSumsToTotal(t *testing.T) {
 	rep := runApps(t, platform.Baseline, 150*sim.Millisecond, "A5")
-	sum := rep.CPUEnergyJ + rep.DRAMEnergyJ + rep.IPEnergyJ + rep.Energy.Get("sa")
+	sum := rep.CPUEnergyJ + rep.DRAMEnergyJ + rep.IPEnergyJ + rep.Energy.Get(energy.SystemAgent)
 	diff := rep.TotalEnergyJ - sum
 	if diff < -1e-9 || diff > 1e-9 {
 		t.Errorf("breakdown (%.6f) != total (%.6f)", sum, rep.TotalEnergyJ)

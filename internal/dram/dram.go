@@ -99,6 +99,9 @@ func (c Config) validate() error {
 }
 
 // Request is one memory transaction. OnDone fires at completion time.
+// The controller queues requests by value, so a caller that issues many
+// requests should pass an OnDone it bound once rather than a fresh
+// closure per request.
 type Request struct {
 	Addr   uint64
 	Bytes  int
@@ -142,11 +145,17 @@ type bank struct {
 }
 
 type channel struct {
+	c            *Controller
 	banks        []bank
-	queue        []*Request
+	queue        []Request
 	busy         bool
+	cur          Request // the request in service while busy
 	busyAcc      sim.Time
 	refreshUntil sim.Time
+
+	// Completions bound once per channel: done on the first request,
+	// refresh at construction and refreshEnd on the first refresh.
+	done, refresh, refreshEnd func()
 }
 
 // Controller is the memory controller plus DRAM device model.
@@ -172,13 +181,14 @@ func NewController(eng *sim.Engine, cfg Config, acct *energy.Account) *Controlle
 	c := &Controller{eng: eng, cfg: cfg, acct: acct}
 	c.chans = make([]*channel, cfg.Channels)
 	for i := range c.chans {
-		ch := &channel{banks: make([]bank, cfg.BanksPerChannel)}
+		ch := &channel{c: c, banks: make([]bank, cfg.BanksPerChannel)}
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 		}
 		c.chans[i] = ch
 		if cfg.TREFI > 0 && cfg.TRFC > 0 && !cfg.Ideal {
-			c.scheduleRefresh(ch)
+			ch.refresh = ch.startRefresh
+			c.eng.After(cfg.TREFI, ch.refresh)
 		}
 	}
 	c.registerMetrics()
@@ -226,22 +236,27 @@ func (c *Controller) registerMetrics() {
 	})
 }
 
-// scheduleRefresh arms the periodic all-bank refresh of a channel: every
-// TREFI the channel stops accepting new requests for TRFC and all rows
-// close (the next accesses miss).
-func (c *Controller) scheduleRefresh(ch *channel) {
-	c.eng.After(c.cfg.TREFI, func() {
-		now := c.eng.Now()
-		ch.refreshUntil = now + c.cfg.TRFC
-		c.stats.Refreshes++
-		c.acct.Add(energy.DRAMActivate, c.cfg.RefreshNJ*1e-9)
-		for b := range ch.banks {
-			ch.banks[b].openRow = -1
-		}
-		c.eng.After(c.cfg.TRFC, func() { c.startNext(ch) })
-		c.scheduleRefresh(ch)
-	})
+// startRefresh is the periodic all-bank refresh of a channel, armed
+// every TREFI: the channel stops accepting new requests for TRFC and all
+// rows close (the next accesses miss).
+func (ch *channel) startRefresh() {
+	c := ch.c
+	now := c.eng.Now()
+	ch.refreshUntil = now + c.cfg.TRFC
+	c.stats.Refreshes++
+	c.acct.Add(energy.DRAMActivate, c.cfg.RefreshNJ*1e-9)
+	for b := range ch.banks {
+		ch.banks[b].openRow = -1
+	}
+	if ch.refreshEnd == nil {
+		ch.refreshEnd = ch.endRefresh
+	}
+	c.eng.After(c.cfg.TRFC, ch.refreshEnd)
+	c.eng.After(c.cfg.TREFI, ch.refresh)
 }
+
+// endRefresh resumes service once a refresh cycle completes.
+func (ch *channel) endRefresh() { ch.c.startNext(ch) }
 
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
@@ -272,11 +287,10 @@ func (c *Controller) bankRowOf(addr uint64) (int, int64) {
 // complete immediately. Requests larger than the channel interleave are
 // split into interleave-sized beats that stripe across channels, exactly
 // as the physical address map would.
-func (c *Controller) Submit(req *Request) {
+func (c *Controller) Submit(req Request) {
 	if req.Bytes <= 0 {
 		if req.OnDone != nil {
-			done := req.OnDone
-			c.eng.After(0, done)
+			c.eng.After(0, req.OnDone)
 		}
 		return
 	}
@@ -304,7 +318,7 @@ func (c *Controller) Submit(req *Request) {
 
 // submitStriped splits a large request into interleave-sized beats and
 // completes the parent when the last beat retires.
-func (c *Controller) submitStriped(req *Request) {
+func (c *Controller) submitStriped(req Request) {
 	il := c.cfg.InterleaveBytes
 	n := (req.Bytes + il - 1) / il
 	remaining := n
@@ -313,7 +327,7 @@ func (c *Controller) submitStriped(req *Request) {
 		if k == n-1 {
 			sz = req.Bytes - k*il
 		}
-		sub := &Request{
+		sub := Request{
 			Addr:  req.Addr + uint64(k*il),
 			Bytes: sz,
 			Write: req.Write,
@@ -366,7 +380,10 @@ func (c *Controller) startNext(ch *channel) {
 		}
 	}
 	req := ch.queue[idx]
-	ch.queue = append(ch.queue[:idx], ch.queue[idx+1:]...)
+	n := len(ch.queue) - 1
+	copy(ch.queue[idx:], ch.queue[idx+1:])
+	ch.queue[n] = Request{} // drop the vacated slot's OnDone
+	ch.queue = ch.queue[:n]
 
 	b, row := c.bankRowOf(req.Addr)
 	var overhead sim.Time
@@ -391,19 +408,31 @@ func (c *Controller) startNext(ch *channel) {
 	}
 
 	ch.busy = true
+	ch.cur = req
 	ch.busyAcc += svc
 	c.stats.BusyChannel += svc
-	c.eng.After(svc, func() {
-		c.stats.BytesMoved += uint64(req.Bytes)
-		c.stats.TotalWait += c.eng.Now() - req.arrive
-		c.recordBytes(req.Bytes)
-		c.acct.Add(energy.DRAMDynamic, c.cfg.DynamicNJPerByte*float64(req.Bytes)*1e-9)
-		ch.busy = false
-		if req.OnDone != nil {
-			req.OnDone()
-		}
-		c.startNext(ch)
-	})
+	if ch.done == nil {
+		ch.done = ch.complete
+	}
+	c.eng.After(svc, ch.done)
+}
+
+// complete retires the channel's request in service and starts the next.
+func (ch *channel) complete() {
+	c := ch.c
+	// Copy the request out first: OnDone may submit to this channel,
+	// which starts the next request and overwrites ch.cur.
+	req := ch.cur
+	ch.cur = Request{}
+	c.stats.BytesMoved += uint64(req.Bytes)
+	c.stats.TotalWait += c.eng.Now() - req.arrive
+	c.recordBytes(req.Bytes)
+	c.acct.Add(energy.DRAMDynamic, c.cfg.DynamicNJPerByte*float64(req.Bytes)*1e-9)
+	ch.busy = false
+	if req.OnDone != nil {
+		req.OnDone()
+	}
+	c.startNext(ch)
 }
 
 // recordBytes attributes traffic to the current bandwidth window.

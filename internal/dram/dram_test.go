@@ -78,7 +78,7 @@ func TestNewControllerPanicsOnBadConfig(t *testing.T) {
 func TestSingleRequestLatency(t *testing.T) {
 	eng, c, _ := newTestController(t, nil)
 	var done sim.Time
-	c.Submit(&Request{Addr: 0, Bytes: 1024, OnDone: func() { done = eng.Now() }})
+	c.Submit(Request{Addr: 0, Bytes: 1024, OnDone: func() { done = eng.Now() }})
 	eng.Run(sim.Second)
 	// Cold access: row miss = tRP+tRCD+tCL = 36ns, plus 1024B at 4 GB/s = 256ns.
 	want := 36*sim.Nanosecond + sim.BytesOver(1024, 4e9)
@@ -95,8 +95,8 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	eng, c, _ := newTestController(t, nil)
 	var t1, t2 sim.Time
 	// Same channel, same row: second access is a row hit.
-	c.Submit(&Request{Addr: 0, Bytes: 64, OnDone: func() { t1 = eng.Now() }})
-	c.Submit(&Request{Addr: 64, Bytes: 64, OnDone: func() { t2 = eng.Now() }})
+	c.Submit(Request{Addr: 0, Bytes: 64, OnDone: func() { t1 = eng.Now() }})
+	c.Submit(Request{Addr: 64, Bytes: 64, OnDone: func() { t2 = eng.Now() }})
 	eng.Run(sim.Second)
 	lat1 := t1
 	lat2 := t2 - t1
@@ -116,8 +116,8 @@ func TestChannelParallelism(t *testing.T) {
 		eng, c, _ := newTestController(t, nil)
 		var last sim.Time
 		done := func() { last = eng.Now() }
-		c.Submit(&Request{Addr: 0, Bytes: 1024, OnDone: done})
-		c.Submit(&Request{Addr: addr2, Bytes: 1024, OnDone: done})
+		c.Submit(Request{Addr: 0, Bytes: 1024, OnDone: done})
+		c.Submit(Request{Addr: addr2, Bytes: 1024, OnDone: done})
 		eng.Run(sim.Second)
 		return last
 	}
@@ -132,7 +132,7 @@ func TestChannelParallelism(t *testing.T) {
 func TestIdealMemoryIsInstant(t *testing.T) {
 	eng, c, _ := newTestController(t, func(cfg *Config) { cfg.Ideal = true })
 	var done sim.Time = -1
-	c.Submit(&Request{Addr: 0, Bytes: 1 << 20, OnDone: func() { done = eng.Now() }})
+	c.Submit(Request{Addr: 0, Bytes: 1 << 20, OnDone: func() { done = eng.Now() }})
 	eng.Run(sim.Second)
 	if done != 0 {
 		t.Errorf("ideal memory completed at %v, want 0", done)
@@ -147,7 +147,7 @@ func TestIdealMemoryIsInstant(t *testing.T) {
 func TestZeroByteRequestCompletes(t *testing.T) {
 	eng, c, _ := newTestController(t, nil)
 	fired := false
-	c.Submit(&Request{Addr: 0, Bytes: 0, OnDone: func() { fired = true }})
+	c.Submit(Request{Addr: 0, Bytes: 0, OnDone: func() { fired = true }})
 	eng.Run(sim.Second)
 	if !fired {
 		t.Error("zero-byte request should still complete")
@@ -159,8 +159,8 @@ func TestZeroByteRequestCompletes(t *testing.T) {
 
 func TestNilOnDoneAllowed(t *testing.T) {
 	eng, c, _ := newTestController(t, nil)
-	c.Submit(&Request{Addr: 0, Bytes: 100})
-	c.Submit(&Request{Addr: 0, Bytes: 0})
+	c.Submit(Request{Addr: 0, Bytes: 100})
+	c.Submit(Request{Addr: 0, Bytes: 0})
 	eng.Run(sim.Second) // must not panic
 	if c.Stats().BytesMoved != 100 {
 		t.Errorf("BytesMoved = %d, want 100", c.Stats().BytesMoved)
@@ -181,7 +181,7 @@ func TestBandwidthSaturation(t *testing.T) {
 		a := addr
 		addr += uint64(chunk)
 		offered += float64(chunk)
-		c.Submit(&Request{Addr: a*uint64(cfg.Channels) + uint64(chIdx*cfg.InterleaveBytes), Bytes: chunk, OnDone: func() {
+		c.Submit(Request{Addr: a*uint64(cfg.Channels) + uint64(chIdx*cfg.InterleaveBytes), Bytes: chunk, OnDone: func() {
 			if eng.Now() < 10*sim.Millisecond {
 				pumps[chIdx]()
 				pumps[chIdx]() // offer 2x
@@ -207,7 +207,7 @@ func TestStatsLatencyGrowsWithLoad(t *testing.T) {
 	latency := func(n int) sim.Time {
 		eng, c, _ := newTestController(t, nil)
 		for i := 0; i < n; i++ {
-			c.Submit(&Request{Addr: uint64(i * 1024), Bytes: 1024})
+			c.Submit(Request{Addr: uint64(i * 1024), Bytes: 1024})
 		}
 		eng.Run(sim.Second)
 		return c.Stats().AvgLatency()
@@ -227,7 +227,7 @@ func TestBandwidthHistogram(t *testing.T) {
 	pump = func() {
 		a := addr
 		addr += 4096
-		c.Submit(&Request{Addr: a, Bytes: 4096, OnDone: func() {
+		c.Submit(Request{Addr: a, Bytes: 4096, OnDone: func() {
 			if eng.Now() < 4*sim.Millisecond {
 				pump()
 				pump()
@@ -261,7 +261,7 @@ func TestHistogramBinsDefault(t *testing.T) {
 
 func TestEnergyAccounting(t *testing.T) {
 	eng, c, acct := newTestController(t, nil)
-	c.Submit(&Request{Addr: 0, Bytes: 1 << 20})
+	c.Submit(Request{Addr: 0, Bytes: 1 << 20})
 	eng.Run(sim.Second)
 	c.AccrueBackground()
 	if acct.Get(energy.DRAMDynamic) <= 0 {
@@ -295,7 +295,7 @@ func TestRowHitRate(t *testing.T) {
 	eng, c, _ := newTestController(t, nil)
 	// Sequential streaming within one interleave chunk yields hits.
 	for i := 0; i < 8; i++ {
-		c.Submit(&Request{Addr: uint64(i * 128), Bytes: 128})
+		c.Submit(Request{Addr: uint64(i * 128), Bytes: 128})
 	}
 	eng.Run(sim.Second)
 	if hr := c.Stats().RowHitRate(); hr < 0.5 {
@@ -322,7 +322,7 @@ func TestConservationProperty(t *testing.T) {
 		for _, s := range sizes {
 			n := int(s%8192) + 1
 			want += uint64(n)
-			c.Submit(&Request{Addr: addr, Bytes: n})
+			c.Submit(Request{Addr: addr, Bytes: n})
 			addr += uint64(n)
 		}
 		eng.Run(10 * sim.Second)
@@ -343,7 +343,7 @@ func TestMinimumLatencyProperty(t *testing.T) {
 		c := NewController(eng, cfg, &energy.Account{})
 		n := int(size%4096) + 1
 		var done sim.Time = -1
-		c.Submit(&Request{Addr: uint64(addrSeed), Bytes: n, OnDone: func() { done = eng.Now() }})
+		c.Submit(Request{Addr: uint64(addrSeed), Bytes: n, OnDone: func() { done = eng.Now() }})
 		eng.Run(sim.Second)
 		// Large requests stripe across channels, so the lower bound is
 		// the per-channel share of the transfer.
@@ -406,7 +406,7 @@ func TestRefreshStealsBandwidth(t *testing.T) {
 		c := NewController(eng, cfg, &energy.Account{})
 		var pump func(addr uint64)
 		pump = func(addr uint64) {
-			c.Submit(&Request{Addr: addr, Bytes: 1024, OnDone: func() {
+			c.Submit(Request{Addr: addr, Bytes: 1024, OnDone: func() {
 				if eng.Now() < 5*sim.Millisecond {
 					pump(addr + 4096) // stay on one channel
 				}
@@ -430,8 +430,8 @@ func TestRefreshStealsBandwidth(t *testing.T) {
 func TestRefreshClosesRows(t *testing.T) {
 	eng, c, _ := newTestController(t, func(cfg *Config) { *cfg = DefaultConfig() })
 	var hits uint64
-	c.Submit(&Request{Addr: 0, Bytes: 64})
-	c.Submit(&Request{Addr: 64, Bytes: 64, OnDone: func() { hits = c.Stats().RowHits }})
+	c.Submit(Request{Addr: 0, Bytes: 64})
+	c.Submit(Request{Addr: 64, Bytes: 64, OnDone: func() { hits = c.Stats().RowHits }})
 	eng.Run(sim.Millisecond)
 	if hits != 1 {
 		t.Fatalf("second access should row-hit before refresh, got %d", hits)
@@ -439,7 +439,7 @@ func TestRefreshClosesRows(t *testing.T) {
 	// Long after a refresh, the same row must miss again.
 	fired := false
 	eng.At(eng.Now()+10*c.Config().TREFI, func() {
-		c.Submit(&Request{Addr: 128, Bytes: 64, OnDone: func() { fired = true }})
+		c.Submit(Request{Addr: 128, Bytes: 64, OnDone: func() { fired = true }})
 	})
 	misses := c.Stats().RowMisses
 	eng.Run(eng.Now() + 20*c.Config().TREFI)
@@ -456,5 +456,34 @@ func TestIdealMemoryHasNoRefresh(t *testing.T) {
 	eng.Run(sim.Millisecond)
 	if c.Stats().Refreshes != 0 {
 		t.Error("ideal memory must not refresh")
+	}
+}
+
+// TestSubmitZeroAllocSteadyState asserts that an interleave-sized read
+// or write, served to completion, allocates nothing once the channel
+// queues are warm: requests queue by value and each channel's
+// completion and refresh are bound once. Refresh stays on, so its
+// events run inside the measured rounds too.
+func TestSubmitZeroAllocSteadyState(t *testing.T) {
+	eng, c, _ := newTestController(t, func(cfg *Config) { *cfg = DefaultConfig() })
+	il := c.Config().InterleaveBytes
+	done := 0
+	onDone := func() { done++ }
+	var addr uint64
+	serve := func(write bool) {
+		want := done + 1
+		c.Submit(Request{Addr: addr, Bytes: il, Write: write, OnDone: onDone})
+		addr += uint64(il) * 5 // walk channels, banks and rows
+		for done < want {
+			eng.Step()
+		}
+	}
+	for i := 0; i < 64; i++ {
+		serve(i%2 == 0)
+	}
+	for _, write := range []bool{false, true} {
+		if n := testing.AllocsPerRun(1000, func() { serve(write) }); n != 0 {
+			t.Errorf("write=%v: one request = %v allocs/op, want 0", write, n)
+		}
 	}
 }

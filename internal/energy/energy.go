@@ -11,7 +11,6 @@ package energy
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/vipsim/vip/internal/sim"
@@ -19,28 +18,74 @@ import (
 
 // Category labels a sink of energy in the platform. The experiment
 // harnesses report both totals and per-category breakdowns.
-type Category string
+//
+// Categories are dense slot indices, so charging energy is an array add;
+// their names are used only when an account is reported (String,
+// TotalPrefix, JSON).
+type Category uint8
 
-// The categories used by the platform models.
+// The categories used by the platform models, declared in name order so
+// that slot order is report order.
 const (
-	CPUActive      Category = "cpu.active"
-	CPUIdle        Category = "cpu.idle"
-	CPUSleep       Category = "cpu.sleep"
-	CPUWake        Category = "cpu.wake"
-	DRAMDynamic    Category = "dram.dynamic"
-	DRAMActivate   Category = "dram.activate"
-	DRAMBackground Category = "dram.background"
-	IPActive       Category = "ip.active"
-	IPStall        Category = "ip.stall"
-	IPIdle         Category = "ip.idle"
-	FlowBuffer     Category = "ip.flowbuffer"
-	SystemAgent    Category = "sa"
+	CPUActive      Category = iota // cpu.active
+	CPUIdle                        // cpu.idle
+	CPUSleep                       // cpu.sleep
+	CPUWake                        // cpu.wake
+	DRAMActivate                   // dram.activate
+	DRAMBackground                 // dram.background
+	DRAMDynamic                    // dram.dynamic
+	IPActive                       // ip.active
+	FlowBuffer                     // ip.flowbuffer
+	IPIdle                         // ip.idle
+	IPStall                        // ip.stall
+	SystemAgent                    // sa
+
+	numCategories
 )
+
+// Account.touched has one bit per category: this overflows, and so fails
+// to compile, once there are more categories than bits.
+const _ = uint16(1<<numCategories - 1)
+
+// categoryNames is the report name of each slot, sorted.
+var categoryNames = [numCategories]string{
+	CPUActive:      "cpu.active",
+	CPUIdle:        "cpu.idle",
+	CPUSleep:       "cpu.sleep",
+	CPUWake:        "cpu.wake",
+	DRAMActivate:   "dram.activate",
+	DRAMBackground: "dram.background",
+	DRAMDynamic:    "dram.dynamic",
+	IPActive:       "ip.active",
+	FlowBuffer:     "ip.flowbuffer",
+	IPIdle:         "ip.idle",
+	IPStall:        "ip.stall",
+	SystemAgent:    "sa",
+}
+
+// String reports the category's name.
+func (c Category) String() string {
+	if c < numCategories {
+		return categoryNames[c]
+	}
+	return fmt.Sprintf("Category(%d)", uint8(c))
+}
+
+// categoryNamed resolves a report name to its slot.
+func categoryNamed(name string) (Category, bool) {
+	for c, n := range categoryNames {
+		if n == name {
+			return Category(c), true
+		}
+	}
+	return 0, false
+}
 
 // Account accumulates joules by category. The zero value is ready to use.
 // Account is not safe for concurrent use; the simulation is single-threaded.
 type Account struct {
-	byCat map[Category]float64
+	joules  [numCategories]float64
+	touched uint16 // bit c set once category c has been charged, even 0 J
 }
 
 // Add records j joules against category c. Negative j panics: components
@@ -49,10 +94,8 @@ func (a *Account) Add(c Category, j float64) {
 	if j < 0 {
 		panic(fmt.Sprintf("energy: negative energy %g for %s", j, c))
 	}
-	if a.byCat == nil {
-		a.byCat = make(map[Category]float64)
-	}
-	a.byCat[c] += j
+	a.joules[c] += j
+	a.touched |= 1 << c
 }
 
 // AddPower records power w (watts) applied for duration d.
@@ -64,14 +107,19 @@ func (a *Account) AddPower(c Category, w float64, d sim.Time) {
 }
 
 // Get reports the joules accumulated against c.
-func (a *Account) Get(c Category) float64 { return a.byCat[c] }
+func (a *Account) Get(c Category) float64 { return a.joules[c] }
+
+// has reports whether c has been charged.
+func (a *Account) has(c Category) bool { return a.touched&(1<<c) != 0 }
 
 // Total reports the sum over all categories. Summation follows sorted
 // category order so the result is bit-for-bit reproducible.
 func (a *Account) Total() float64 {
 	var t float64
-	for _, c := range a.Categories() {
-		t += a.byCat[c]
+	for c := Category(0); c < numCategories; c++ {
+		if a.has(c) {
+			t += a.joules[c]
+		}
 	}
 	return t
 }
@@ -81,9 +129,9 @@ func (a *Account) Total() float64 {
 // category order so the result is bit-for-bit reproducible.
 func (a *Account) TotalPrefix(prefix string) float64 {
 	var t float64
-	for _, c := range a.Categories() {
-		if strings.HasPrefix(string(c), prefix) {
-			t += a.byCat[c]
+	for c := Category(0); c < numCategories; c++ {
+		if a.has(c) && strings.HasPrefix(categoryNames[c], prefix) {
+			t += a.joules[c]
 		}
 	}
 	return t
@@ -91,38 +139,52 @@ func (a *Account) TotalPrefix(prefix string) float64 {
 
 // Merge adds every category of other into a.
 func (a *Account) Merge(other *Account) {
-	for c, v := range other.byCat {
-		a.Add(c, v)
+	for _, c := range other.Categories() {
+		a.Add(c, other.joules[c])
 	}
 }
 
-// Categories returns the categories with non-zero energy, sorted by name.
+// Categories returns the categories that have been charged (including
+// any charged exactly 0 J), sorted by name.
 func (a *Account) Categories() []Category {
-	cats := make([]Category, 0, len(a.byCat))
-	for c := range a.byCat {
-		cats = append(cats, c)
+	var cats []Category
+	for c := Category(0); c < numCategories; c++ {
+		if a.has(c) {
+			cats = append(cats, c)
+		}
 	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
 	return cats
 }
 
-// MarshalJSON renders the account as a {category: joules} object.
-// encoding/json sorts map keys, so the output is deterministic.
+// MarshalJSON renders the account as a {category: joules} object with
+// one member per charged category. encoding/json sorts map keys, so the
+// output is deterministic.
 func (a *Account) MarshalJSON() ([]byte, error) {
-	m := a.byCat
-	if m == nil {
-		m = map[Category]float64{}
+	m := make(map[string]float64, numCategories)
+	for _, c := range a.Categories() {
+		m[categoryNames[c]] = a.joules[c]
 	}
 	return json.Marshal(m)
 }
 
-// UnmarshalJSON restores an account from its MarshalJSON form.
+// UnmarshalJSON restores an account from its MarshalJSON form. A name
+// that is not a declared category is an error: the account has no slot
+// to hold it.
 func (a *Account) UnmarshalJSON(b []byte) error {
-	var m map[Category]float64
+	var m map[string]float64
 	if err := json.Unmarshal(b, &m); err != nil {
 		return err
 	}
-	a.byCat = m
+	var out Account
+	for name, j := range m {
+		c, ok := categoryNamed(name)
+		if !ok {
+			return fmt.Errorf("energy: unknown category %q", name)
+		}
+		out.joules[c] = j
+		out.touched |= 1 << c
+	}
+	*a = out
 	return nil
 }
 
@@ -130,7 +192,7 @@ func (a *Account) UnmarshalJSON(b []byte) error {
 func (a *Account) String() string {
 	var b strings.Builder
 	for _, c := range a.Categories() {
-		fmt.Fprintf(&b, "%-18s %10.3f mJ\n", c, a.byCat[c]*1e3)
+		fmt.Fprintf(&b, "%-18s %10.3f mJ\n", c, a.joules[c]*1e3)
 	}
 	fmt.Fprintf(&b, "%-18s %10.3f mJ", "total", a.Total()*1e3)
 	return b.String()

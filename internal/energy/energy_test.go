@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -81,7 +82,7 @@ func TestAccountMerge(t *testing.T) {
 	b.Add(SystemAgent, 5)
 	a.Merge(&b)
 	if a.Get(CPUActive) != 3 || a.Get(SystemAgent) != 5 {
-		t.Errorf("Merge produced %v", a.byCat)
+		t.Errorf("Merge produced %v", a.String())
 	}
 }
 
@@ -92,7 +93,7 @@ func TestAccountCategoriesSorted(t *testing.T) {
 	a.Add(IPActive, 1)
 	cats := a.Categories()
 	for i := 1; i < len(cats); i++ {
-		if cats[i-1] >= cats[i] {
+		if cats[i-1].String() >= cats[i].String() {
 			t.Fatalf("categories not sorted: %v", cats)
 		}
 	}
@@ -117,7 +118,7 @@ func TestAccountTotalProperty(t *testing.T) {
 			if math.IsInf(v, 0) || math.IsNaN(v) || v > 1e100 {
 				continue
 			}
-			c := Category(rune('a' + i%5))
+			c := Category(i % int(numCategories))
 			a.Add(c, v)
 			want += v
 		}
@@ -125,6 +126,84 @@ func TestAccountTotalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCategorySlotsInNameOrder pins the invariant Total and TotalPrefix
+// rely on: walking the slots in index order walks the names in sorted
+// order, so every sum adds its terms in the same order as a sort by name.
+func TestCategorySlotsInNameOrder(t *testing.T) {
+	for c := Category(1); c < numCategories; c++ {
+		if c.String() <= (c - 1).String() {
+			t.Errorf("slot %d %q does not sort after slot %d %q", c, c, c-1, c-1)
+		}
+	}
+	if got := numCategories.String(); got != "Category(12)" {
+		t.Errorf("out-of-range category renders as %q", got)
+	}
+}
+
+// encodedAllCategories is the encoding of an account charged in every
+// category, cpu.wake with exactly 0 J, as the string-keyed account wrote
+// it; the dense account must keep these bytes.
+const encodedAllCategories = `{"cpu.active":0.0004166666666666667,"cpu.idle":0.0008333333333333334,` +
+	`"cpu.sleep":0.00125,"cpu.wake":0,"dram.activate":0.0025,"dram.background":0.002916666666666667,` +
+	`"dram.dynamic":0.0020833333333333333,"ip.active":0.0033333333333333335,` +
+	`"ip.flowbuffer":0.004583333333333333,"ip.idle":0.004166666666666667,"ip.stall":0.00375,"sa":0.005}`
+
+func TestAccountJSONRoundTrip(t *testing.T) {
+	var a Account
+	for i, c := range []Category{CPUActive, CPUIdle, CPUSleep, CPUWake, DRAMDynamic, DRAMActivate,
+		DRAMBackground, IPActive, IPStall, IPIdle, FlowBuffer, SystemAgent} {
+		if c == CPUWake {
+			a.Add(c, 0) // touched with zero joules: still a member
+			continue
+		}
+		a.Add(c, float64(i+1)*1.25e-3/3)
+	}
+	b, err := json.Marshal(&a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != encodedAllCategories {
+		t.Fatalf("encoding changed:\n got %s\nwant %s", b, encodedAllCategories)
+	}
+	var back Account
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != a {
+		t.Errorf("round trip changed the account:\n got %s\nwant %s", back.String(), a.String())
+	}
+	if len(back.Categories()) != int(numCategories) {
+		t.Errorf("round trip kept %d categories, want %d", len(back.Categories()), numCategories)
+	}
+	var empty Account
+	if b, _ := json.Marshal(&empty); string(b) != "{}" {
+		t.Errorf("empty account encodes as %s, want {}", b)
+	}
+}
+
+func TestAccountUnmarshalUnknownCategory(t *testing.T) {
+	a := Account{}
+	a.Add(CPUActive, 1)
+	if err := json.Unmarshal([]byte(`{"cpu.active":1,"gpu.active":2}`), &a); err == nil {
+		t.Fatal("unknown category decoded without error")
+	}
+	if a.Get(CPUActive) != 1 {
+		t.Error("a failed decode modified the account")
+	}
+}
+
+// TestAccountZeroAlloc asserts that charging energy costs no heap
+// allocation, like the engine's TestEngineZeroAlloc* tests.
+func TestAccountZeroAlloc(t *testing.T) {
+	var a Account
+	if n := testing.AllocsPerRun(1000, func() { a.Add(DRAMDynamic, 1e-9) }); n != 0 {
+		t.Errorf("Add = %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { a.AddPower(IPActive, 0.5, sim.Microsecond) }); n != 0 {
+		t.Errorf("AddPower = %v allocs/op, want 0", n)
 	}
 }
 

@@ -218,15 +218,30 @@ type Core struct {
 	lanes []*Lane
 
 	// active is the job whose chunk is committed on the datapath
-	// (compute timer or SA output transfer in flight).
-	active      *Job
-	lastLane    *Lane
-	rrServed    int // sub-frames served on lastLane (RR quantum)
-	kickQueued  bool
-	phase       Phase
-	phaseSince  sim.Time
-	stats       Stats
-	perFrameAdj map[*Job]bool // jobs already charged PerFrame
+	// (compute timer or SA output transfer in flight). At most one
+	// datapath timer is ever pending and it belongs to active: dispatch
+	// does not start while active != nil, and only that timer's
+	// completion clears it, on abort too. The completions below
+	// therefore take their job from active.
+	active     *Job
+	lastLane   *Lane
+	rrServed   int // sub-frames served on lastLane (RR quantum)
+	kickQueued bool
+	phase      Phase
+	phaseSince sim.Time
+	stats      Stats
+
+	// The core's event completions, bound once on its first kick (see
+	// bind) so that scheduling one allocates nothing.
+	dispatchFn     func() // a coalesced kick: c.kicked
+	wakeFn         func() // a timed re-kick: c.kick
+	stepFn         func() // end of a lane context switch: c.stepActive
+	computeDoneFn  func() // end of a compute chunk: c.computeDone
+	transferDoneFn func() // an output sub-frame crossed the SA: c.emitDone
+
+	// heads is the scheduler's scratch list of runnable lane heads,
+	// reused by every pass.
+	heads []*Job
 
 	// onLaneFault is the driver's quarantine notification; it receives
 	// the quarantined lane index and its stranded (incomplete) jobs.
@@ -243,7 +258,7 @@ func NewCore(eng *sim.Engine, cfg Config, sa *noc.Fabric, mem *dram.Controller, 
 	}
 	c := &Core{
 		eng: eng, cfg: cfg, sa: sa, mem: mem, acct: acct, sram: sram,
-		phase: PhaseIdle, perFrameAdj: make(map[*Job]bool),
+		phase: PhaseIdle,
 	}
 	c.lanes = make([]*Lane, cfg.Lanes)
 	for i := range c.lanes {
@@ -349,9 +364,41 @@ func (c *Core) Submit(laneIdx int, j *Job) error {
 	j.lane = c.lanes[laneIdx]
 	j.blockedAt = -1
 	j.submitAt = c.eng.Now()
+	c.bindJob(j)
 	j.lane.jobs = append(j.lane.jobs, j)
 	c.kick()
 	return nil
+}
+
+// bindJob binds j's memory and flow-control completions once, for every
+// DRAM request, DRAM write and space wake-up the job will issue. Each
+// job is submitted once. The DRAM wait telemetry needs no captured issue
+// time: a request subtracts its issue time from j.dramNS and its
+// completion adds the completion time back, so once every request has
+// retired j.dramNS is the sum of their latencies.
+func (c *Core) bindJob(j *Job) {
+	if j.InFromDRAM {
+		j.readDone = func() {
+			j.dramNS += int64(c.eng.Now())
+			j.inReady++
+			c.kick()
+		}
+	}
+	if j.OutToDRAM {
+		j.writeDone = func() {
+			j.dramNS += int64(c.eng.Now())
+			j.writesOut--
+			j.writesDone++
+			c.maybeComplete(j)
+			c.kick()
+		}
+	}
+	if j.OutLane != nil {
+		j.spaceFreed = func() {
+			j.spaceWait = false
+			c.kick()
+		}
+	}
 }
 
 // effectiveSubframe bounds the chunk size by the flow buffers the job
@@ -372,11 +419,28 @@ func (c *Core) kick() {
 	if c.kickQueued || c.active != nil {
 		return
 	}
+	if c.dispatchFn == nil {
+		c.bind()
+	}
 	c.kickQueued = true
-	c.eng.After(0, func() {
-		c.kickQueued = false
-		c.dispatch()
-	})
+	c.eng.After(0, c.dispatchFn)
+}
+
+// bind binds the core's completions. Every path that schedules one
+// starts from a kick (Submit kicks), so the first kick binds them; a
+// core that never receives work never pays for them.
+func (c *Core) bind() {
+	c.dispatchFn = c.kicked
+	c.wakeFn = c.kick
+	c.stepFn = c.stepActive
+	c.computeDoneFn = c.computeDone
+	c.transferDoneFn = c.emitDone
+}
+
+// kicked is the coalesced dispatch pass a kick scheduled.
+func (c *Core) kicked() {
+	c.kickQueued = false
+	c.dispatch()
 }
 
 // setPhase accrues time in the current phase and switches to p.
@@ -514,23 +578,21 @@ func (c *Core) issueReads(j *Job) {
 	for j.inIssued < limit {
 		k := j.inIssued
 		j.inIssued++
-		reqAt := c.eng.Now()
-		c.mem.Submit(&dram.Request{
-			Addr:  j.InAddr + uint64(j.inOffset(k)),
-			Bytes: j.inChunk(k),
-			OnDone: func() {
-				j.dramNS += int64(c.eng.Now() - reqAt)
-				j.inReady++
-				j.lane.core.kick()
-			},
+		j.dramNS -= int64(c.eng.Now())
+		c.mem.Submit(dram.Request{
+			Addr:   j.InAddr + uint64(j.inOffset(k)),
+			Bytes:  j.inChunk(k),
+			OnDone: j.readDone,
 		})
 	}
 }
 
 // runnableHeads collects the runnable head job of every lane, updating
-// prefetch, latch and blocked-since bookkeeping along the way.
+// prefetch, latch and blocked-since bookkeeping along the way. The list
+// is the core's scratch slice, valid until the next pass; nothing it
+// calls fires a completion synchronously, so no pass can re-enter it.
 func (c *Core) runnableHeads() []*Job {
-	var out []*Job
+	out := c.heads[:0]
 	for _, l := range c.lanes {
 		j := l.head()
 		if j == nil {
@@ -547,6 +609,7 @@ func (c *Core) runnableHeads() []*Job {
 		j.blockedAt = -1
 		out = append(out, j)
 	}
+	c.heads = out
 	return out
 }
 
@@ -564,7 +627,7 @@ func (c *Core) holdForCurrentLane(best *Job) bool {
 	}
 	waited := c.eng.Now() - cur.blockedAt
 	if cur.blockedAt >= 0 && waited < c.cfg.SwitchPatience {
-		c.eng.At(cur.blockedAt+c.cfg.SwitchPatience, func() { c.kick() })
+		c.eng.At(cur.blockedAt+c.cfg.SwitchPatience, c.wakeFn)
 		return true
 	}
 	return false
@@ -698,15 +761,11 @@ func (c *Core) dispatch() {
 			}
 			if h.emitted < h.computed && h.OutLane != nil && !h.spaceWait {
 				h.spaceWait = true
-				hh := h
-				h.OutLane.waitForSpace(func() {
-					hh.spaceWait = false
-					c.kick()
-				})
+				h.OutLane.waitForSpace(h.spaceFreed)
 			}
 			if !h.started && h.NotBefore > c.eng.Now() && !h.timerSet {
 				h.timerSet = true
-				c.eng.At(h.NotBefore, func() { c.kick() })
+				c.eng.At(h.NotBefore, c.wakeFn)
 			}
 		}
 		c.setPhase(c.pendingKind())
@@ -727,12 +786,15 @@ func (c *Core) dispatch() {
 		c.stats.CtxSwitch++
 		c.lastLane = j.lane
 		c.setPhase(PhaseCompute)
-		c.eng.After(c.cfg.CtxSwitch, func() { c.step(j) })
+		c.eng.After(c.cfg.CtxSwitch, c.stepFn)
 		return
 	}
 	c.lastLane = j.lane
 	c.step(j)
 }
+
+// stepActive ends a lane context switch: the active job takes its step.
+func (c *Core) stepActive() { c.step(c.active) }
 
 // step performs j's next action (emit pending output, else compute).
 func (c *Core) step(j *Job) {
@@ -772,21 +834,25 @@ func (c *Core) compute(j *Job) {
 	if mult, ok := c.cfg.Injector.Slowdown(); ok {
 		d = sim.Time(float64(d) * mult)
 	}
-	if !c.perFrameAdj[j] {
-		c.perFrameAdj[j] = true
+	if !j.perFrameCharged {
+		j.perFrameCharged = true
 		d += c.cfg.PerFrame
 	}
 	c.issueReads(j) // keep the prefetcher ahead while computing
 	c.setPhase(PhaseCompute)
-	c.eng.After(d, func() {
-		if j.aborted {
-			c.active = nil
-			c.dispatch()
-			return
-		}
-		j.computed++
-		c.emit(j)
-	})
+	c.eng.After(d, c.computeDoneFn)
+}
+
+// computeDone ends the active job's compute chunk and emits its output.
+func (c *Core) computeDone() {
+	j := c.active
+	if j.aborted {
+		c.active = nil
+		c.dispatch()
+		return
+	}
+	j.computed++
+	c.emit(j)
 }
 
 // emit hands chunk j.emitted to its output path.
@@ -809,15 +875,13 @@ func (c *Core) emit(j *Job) {
 		j.writesOut++
 		j.emitted++
 		c.stats.BytesOut += uint64(out)
-		addr := j.OutAddr + uint64(j.outOffset(k))
-		wrAt := c.eng.Now()
-		c.mem.Submit(&dram.Request{Addr: addr, Bytes: out, Write: true, OnDone: func() {
-			j.dramNS += int64(c.eng.Now() - wrAt)
-			j.writesOut--
-			j.writesDone++
-			c.maybeComplete(j)
-			c.kick()
-		}})
+		j.dramNS -= int64(c.eng.Now())
+		c.mem.Submit(dram.Request{
+			Addr:   j.OutAddr + uint64(j.outOffset(k)),
+			Bytes:  out,
+			Write:  true,
+			OnDone: j.writeDone,
+		})
 		c.chunkDone(j)
 	case j.OutLane != nil:
 		if j.OutLane.free() < out ||
@@ -829,28 +893,34 @@ func (c *Core) emit(j *Job) {
 		}
 		j.OutLane.reserve(out)
 		c.setPhase(PhaseStallMem) // SA transfer occupies the producer
-		txAt := c.eng.Now()
-		c.sa.Transfer(out, func() {
-			j.nocNS += int64(c.eng.Now() - txAt)
-			if j.aborted {
-				// The frame was cancelled while the sub-frame was in
-				// flight: drop it instead of depositing stale bytes.
-				j.OutLane.discardReserved(out)
-				c.active = nil
-				c.dispatch()
-				return
-			}
-			j.OutLane.depositReserved(out)
-			j.OutLane.core.kick()
-			j.emitted++
-			c.stats.BytesOut += uint64(out)
-			c.chunkDone(j)
-		})
+		j.nocNS -= int64(c.eng.Now())
+		c.sa.Transfer(out, c.transferDoneFn)
 	default: // sink: output vanishes into the device
 		j.emitted++
 		c.stats.BytesOut += uint64(out)
 		c.chunkDone(j)
 	}
+}
+
+// emitDone lands the active job's output sub-frame, chunk j.emitted, in
+// the downstream lane once it has crossed the SA.
+func (c *Core) emitDone() {
+	j := c.active
+	out := j.outChunk(j.emitted)
+	j.nocNS += int64(c.eng.Now())
+	if j.aborted {
+		// The frame was cancelled while the sub-frame was in flight:
+		// drop it instead of depositing stale bytes.
+		j.OutLane.discardReserved(out)
+		c.active = nil
+		c.dispatch()
+		return
+	}
+	j.OutLane.depositReserved(out)
+	j.OutLane.core.kick()
+	j.emitted++
+	c.stats.BytesOut += uint64(out)
+	c.chunkDone(j)
 }
 
 // chunkDone releases the datapath and reschedules.
@@ -877,7 +947,6 @@ func (c *Core) maybeComplete(j *Job) {
 	c.cfg.Spans.Hop(c.cfg.Name, j.lane.idx, j.FlowID, j.Frame, j.Stage,
 		j.submitAt, j.startedAt, j.finishedAt, j.dramNS, j.nocNS, j.InBytes, j.OutBytes)
 	c.stats.Frames++
-	delete(c.perFrameAdj, j)
 	if j.lane != nil {
 		// The lane head advances: wake producers blocked on chain
 		// ownership of this lane.
@@ -910,7 +979,6 @@ func (c *Core) Abort(j *Job) {
 	j.aborted = true
 	j.done = true
 	j.finishedAt = c.eng.Now()
-	delete(c.perFrameAdj, j)
 	if wasHead {
 		// Bytes staged in the flow buffer belong to this frame
 		// (producers only deposit while their consumer is head), so they

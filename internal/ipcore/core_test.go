@@ -452,7 +452,7 @@ func TestUtilizationDropsWithMemoryContention(t *testing.T) {
 			// Saturate DRAM with an external stream.
 			var hog func(addr uint64)
 			hog = func(addr uint64) {
-				r.mem.Submit(&dram.Request{Addr: addr, Bytes: 8 << 10, OnDone: func() {
+				r.mem.Submit(dram.Request{Addr: addr, Bytes: 8 << 10, OnDone: func() {
 					hog(addr + 8<<10)
 				}})
 			}

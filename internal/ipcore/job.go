@@ -83,11 +83,18 @@ type Job struct {
 	submitAt   sim.Time
 	startedAt  sim.Time
 	finishedAt sim.Time
-	dramNS     int64 // time spent waiting on DRAM requests (telemetry)
-	nocNS      int64 // time spent in SA sub-frame transfers (telemetry)
-	done       bool
-	aborted    bool // cancelled by Core.Abort; done without OnDone
-	lane       *Lane
+	// dramNS and nocNS are the time spent waiting on DRAM requests and
+	// in SA sub-frame transfers (telemetry), kept as Σcompletion − Σissue:
+	// exact once every request and transfer of the job has retired.
+	dramNS          int64
+	nocNS           int64
+	perFrameCharged bool // the PerFrame setup overhead has been charged
+	done            bool
+	aborted         bool // cancelled by Core.Abort; done without OnDone
+	lane            *Lane
+
+	// Completions bound once by Core.Submit (see Core.bindJob).
+	readDone, writeDone, spaceFreed func()
 }
 
 // Validate checks the job's shape; the Core calls it on Submit.

@@ -23,8 +23,9 @@ type Lane struct {
 	jobs []*Job // FIFO of frame jobs bound to this lane
 
 	// spaceWaiters are producer wake-ups pending the next space release;
-	// they are delivered as flow-control signals through the SA.
-	spaceWaiters []func()
+	// they are delivered as flow-control signals through the SA. Delivery
+	// swaps the list with spareWaiters, so neither array is reallocated.
+	spaceWaiters, spareWaiters []func()
 
 	// FlowID is the flow bound to this lane's context (VIP); -1 if the
 	// lane is unbound and multiplexes every flow.
@@ -155,7 +156,7 @@ func (l *Lane) deliverSpaceSignals() {
 		return
 	}
 	ws := l.spaceWaiters
-	l.spaceWaiters = nil
+	l.spaceWaiters = l.spareWaiters[:0]
 	for _, w := range ws {
 		if l.core.cfg.Injector.CreditLoss() {
 			l.spaceWaiters = append(l.spaceWaiters, w)
@@ -163,4 +164,6 @@ func (l *Lane) deliverSpaceSignals() {
 		}
 		l.core.sa.Signal(w)
 	}
+	clear(ws)
+	l.spareWaiters = ws[:0]
 }

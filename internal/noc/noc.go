@@ -79,11 +79,15 @@ type transfer struct {
 
 // Fabric is the System Agent instance.
 type Fabric struct {
-	eng   *sim.Engine
-	cfg   Config
-	acct  *energy.Account
+	eng  *sim.Engine
+	cfg  Config
+	acct *energy.Account
+	// queue[head:] are the transfers waiting for the link, oldest first.
 	queue []transfer
+	head  int
 	busy  bool
+	cur   transfer // the transfer on the link while busy
+	done  func()   // f.complete, bound on the first transfer
 	stats Stats
 }
 
@@ -106,7 +110,7 @@ func (f *Fabric) registerMetrics() {
 	if !reg.Enabled() {
 		return
 	}
-	reg.Gauge("noc.queue_depth", func() float64 { return float64(len(f.queue)) })
+	reg.Gauge("noc.queue_depth", func() float64 { return float64(f.QueueLen()) })
 	reg.Gauge("noc.bytes_total", func() float64 { return float64(f.stats.BytesMoved) })
 	reg.Gauge("noc.transfers_total", func() float64 { return float64(f.stats.Transfers) })
 	if f.cfg.Injector.Enabled() {
@@ -135,10 +139,19 @@ func (f *Fabric) Config() Config { return f.cfg }
 func (f *Fabric) Stats() Stats { return f.stats }
 
 // Transfer moves n bytes across the SA, calling onDone at completion.
-// Zero-byte transfers still pay the arbitration latency.
+// Zero-byte transfers still pay the arbitration latency. The transfer is
+// queued by value, so a caller on a hot path should pass an onDone it
+// bound once rather than a fresh closure per transfer.
 func (f *Fabric) Transfer(n int, onDone func()) {
 	if n < 0 {
 		panic(fmt.Sprintf("noc: negative transfer size %d", n))
+	}
+	if f.head > 0 && len(f.queue) == cap(f.queue) {
+		// Reuse the slots already served before growing the array.
+		k := copy(f.queue, f.queue[f.head:])
+		clear(f.queue[k:])
+		f.queue = f.queue[:k]
+		f.head = 0
 	}
 	f.queue = append(f.queue, transfer{bytes: n, onDone: onDone})
 	if !f.busy {
@@ -159,40 +172,66 @@ func (f *Fabric) Signal(onDelivered func()) {
 // serveNext starts the next queued transfer; it is a no-op while the link
 // is already busy.
 func (f *Fabric) serveNext() {
-	if f.busy || len(f.queue) == 0 {
+	if f.busy || f.head == len(f.queue) {
 		return
 	}
-	tr := f.queue[0]
-	f.queue = f.queue[1:]
+	f.cur = f.queue[f.head]
+	f.queue[f.head] = transfer{}
+	f.head++
+	if f.head == len(f.queue) {
+		f.queue, f.head = f.queue[:0], 0
+	}
 	f.busy = true
-	d := f.cfg.Latency + sim.BytesOver(int64(tr.bytes), f.cfg.BytesPerSecond)
+	d := f.cfg.Latency + sim.BytesOver(int64(f.cur.bytes), f.cfg.BytesPerSecond)
 	f.stats.Busy += d
-	f.eng.After(d, func() {
-		f.busy = false
-		if f.cfg.Injector.NoCDrop() {
-			// Sub-frame dropped/corrupted in flight: the CRC check at the
-			// receiver fails and the link-level protocol retransmits at
-			// the head of the queue. The wasted wire time and energy were
-			// already paid.
-			f.stats.Retransmits++
-			f.stats.BytesMoved += uint64(tr.bytes)
-			f.acct.Add(energy.SystemAgent, f.cfg.DynamicNJPerByte*float64(tr.bytes)*1e-9)
-			f.queue = append([]transfer{tr}, f.queue...)
-			f.serveNext()
-			return
-		}
-		f.stats.Transfers++
+	if f.done == nil {
+		f.done = f.complete
+	}
+	f.eng.After(d, f.done)
+}
+
+// complete delivers the transfer on the link and serves the next one.
+func (f *Fabric) complete() {
+	// Copy the transfer out first: onDone may queue another transfer,
+	// which starts it and overwrites f.cur.
+	tr := f.cur
+	f.cur = transfer{}
+	f.busy = false
+	if f.cfg.Injector.NoCDrop() {
+		// Sub-frame dropped/corrupted in flight: the CRC check at the
+		// receiver fails and the link-level protocol retransmits at the
+		// head of the queue. The wasted wire time and energy were already
+		// paid.
+		f.stats.Retransmits++
 		f.stats.BytesMoved += uint64(tr.bytes)
 		f.acct.Add(energy.SystemAgent, f.cfg.DynamicNJPerByte*float64(tr.bytes)*1e-9)
-		if tr.onDone != nil {
-			tr.onDone()
-		}
+		f.pushFront(tr)
 		f.serveNext()
-	})
+		return
+	}
+	f.stats.Transfers++
+	f.stats.BytesMoved += uint64(tr.bytes)
+	f.acct.Add(energy.SystemAgent, f.cfg.DynamicNJPerByte*float64(tr.bytes)*1e-9)
+	if tr.onDone != nil {
+		tr.onDone()
+	}
+	f.serveNext()
+}
+
+// pushFront queues tr ahead of every waiting transfer.
+func (f *Fabric) pushFront(tr transfer) {
+	if f.head > 0 {
+		f.head--
+		f.queue[f.head] = tr
+		return
+	}
+	f.queue = append(f.queue, transfer{})
+	copy(f.queue[1:], f.queue)
+	f.queue[0] = tr
 }
 
 // QueueLen reports the number of transfers waiting for the link.
-func (f *Fabric) QueueLen() int { return len(f.queue) }
+func (f *Fabric) QueueLen() int { return len(f.queue) - f.head }
 
 // Utilization reports the fraction of elapsed time the link was busy.
 func (f *Fabric) Utilization() float64 {

@@ -174,3 +174,27 @@ func TestFabricFIFOProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTransferZeroAllocSteadyState asserts that a transfer, queued and
+// delivered, allocates nothing once the fabric is warm: transfers queue
+// by value in a head-indexed FIFO and the link's completion is bound
+// once.
+func TestTransferZeroAllocSteadyState(t *testing.T) {
+	eng, f, _ := newFabric(t)
+	done := 0
+	onDone := func() { done++ }
+	send := func() {
+		want := done + 2
+		f.Transfer(1024, onDone)
+		f.Transfer(64, onDone) // queues behind the first
+		for done < want {
+			eng.Step()
+		}
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if n := testing.AllocsPerRun(1000, send); n != 0 {
+		t.Errorf("two queued transfers = %v allocs/op, want 0", n)
+	}
+}

@@ -3,13 +3,20 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/vipsim/vip/internal/store"
+	"github.com/vipsim/vip/vip"
 )
 
 // seedJobRecord writes one job record straight into a closed store —
@@ -392,5 +399,69 @@ func TestWarnLogIsStructured(t *testing.T) {
 		if doc["level"] != "warn" || doc["event"] == "" {
 			t.Errorf("warn line missing level/event: %q", line)
 		}
+	}
+}
+
+// TestConcurrentMissesRunEngineOnce: with the durable store on, 16
+// identical submissions arriving at once run the engine once. The
+// in-flight check and the registration are one critical section, so no
+// two misses can both pass the check while the first job's record is
+// being fsynced; every caller gets the one run's bytes.
+func TestConcurrentMissesRunEngineOnce(t *testing.T) {
+	var runs atomic.Int64
+	s := New(Config{
+		Workers:  4,
+		StoreDir: t.TempDir(),
+		Run: func(vip.Scenario) ([]byte, error) {
+			n := runs.Add(1)
+			time.Sleep(20 * time.Millisecond) // hold the run open while the others arrive
+			return []byte(fmt.Sprintf(`{"run":%d}`, n)), nil
+		},
+	})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const clients = 16
+	start := make(chan struct{})
+	bodies := make([][]byte, clients)
+	codes := make([]int, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+"/v1/sim", "application/json",
+				strings.NewReader(`{"apps":["A5"],"duration_ms":10,"seed":7}`))
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			codes[i] = resp.StatusCode
+			bodies[i], _ = io.ReadAll(resp.Body)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	for i := range bodies {
+		if codes[i] != http.StatusOK {
+			t.Errorf("client %d: status %d: %s", i, codes[i], bodies[i])
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Errorf("client %d got %s, client 0 got %s", i, bodies[i], bodies[0])
+		}
+	}
+	_, sbody := get(t, ts.URL, "/v1/cache/stats")
+	var stats struct {
+		EngineRuns uint64 `json:"engine_runs"`
+	}
+	if err := json.Unmarshal(sbody, &stats); err != nil {
+		t.Fatalf("decoding stats: %v: %s", err, sbody)
+	}
+	if stats.EngineRuns != 1 {
+		t.Errorf("engine_runs = %d for %d identical submissions, want 1", stats.EngineRuns, clients)
 	}
 }

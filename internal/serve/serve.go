@@ -215,9 +215,15 @@ type Job struct {
 	seq        uint64
 	completing bool // set by the (single) finalizer before done closes
 	done       chan struct{}
-	created    time.Time
-	started    time.Time // first worker dispatch (zero for cache fast path)
-	ended      time.Time // completion, whatever the outcome
+	// durable, when non-nil, closes once the admitting request has
+	// persisted the job record; a request that coalesces onto the job
+	// waits for it before answering, so no client learns of a job a
+	// crash could still lose. Nil for jobs that never coalesce (cache
+	// hits) and for jobs replayed from the store.
+	durable chan struct{}
+	created time.Time
+	started time.Time // first worker dispatch (zero for cache fast path)
+	ended   time.Time // completion, whatever the outcome
 }
 
 // SimRequest is the wire form of a scenario submission. Every knob is
@@ -506,21 +512,31 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	rs.AddStage("cache", now().Sub(cacheStart).Nanoseconds())
 
-	// Coalesce onto an identical in-flight run, or admit a new one.
+	// Coalesce onto an identical in-flight run, or admit a new one. The
+	// check and the registration are one critical section, so two
+	// misses on one key cannot both run the engine.
 	s.mu.Lock()
 	job, joined := s.inflight[key]
+	var pruned []string
 	if joined {
 		s.coalesced++
-		s.mu.Unlock()
 	} else {
-		s.mu.Unlock()
-		job = s.newJob(hash, reqJSON, canon)
+		job, pruned = s.newJobLocked(hash, reqJSON, canon)
+		job.durable = make(chan struct{})
+		s.inflight[key] = job
+	}
+	s.mu.Unlock()
+	if joined {
+		if job.durable != nil {
+			<-job.durable
+		}
+	} else {
+		s.dropJobRecords(pruned)
 		// Durability barrier: the accepted job is on disk before it is
 		// queued or acknowledged, so a crash from here on cannot lose it.
+		// The fsync runs outside s.mu; coalescers wait on job.durable.
 		s.persistJob(job)
-		s.mu.Lock()
-		s.inflight[key] = job
-		s.mu.Unlock()
+		close(job.durable)
 		edf := now().Add(deadline).UnixNano()
 		// The job is deliberately detached from the request context: the
 		// result is content-addressed and future-useful even if this
@@ -637,6 +653,16 @@ func jobStatus(job *Job) string {
 // nil when the durable store is disabled.
 func (s *Server) newJob(hash string, reqJSON, canon []byte) *Job {
 	s.mu.Lock()
+	job, pruned := s.newJobLocked(hash, reqJSON, canon)
+	s.mu.Unlock()
+	s.dropJobRecords(pruned)
+	return job
+}
+
+// newJobLocked is newJob for a caller that holds s.mu. It returns the
+// ids of the records it pruned, which the caller drops from the store
+// with dropJobRecords after releasing s.mu.
+func (s *Server) newJobLocked(hash string, reqJSON, canon []byte) (*Job, []string) {
 	s.seq++
 	short := hash
 	if len(short) > 12 {
@@ -665,11 +691,14 @@ func (s *Server) newJob(hash string, reqJSON, canon []byte) *Job {
 		pruned = append(pruned, s.order[0])
 		s.order = s.order[1:]
 	}
-	s.mu.Unlock()
-	for _, id := range pruned {
+	return job, pruned
+}
+
+// dropJobRecords removes pruned job records from the store.
+func (s *Server) dropJobRecords(ids []string) {
+	for _, id := range ids {
 		s.dropJobRecord(id)
 	}
-	return job
 }
 
 // runJob is the pool task: re-check the cache (an identical run may
