@@ -293,10 +293,13 @@ func BenchmarkFig18(b *testing.B) {
 }
 
 // BenchmarkEngineSchedule measures the engine hot path in isolation: one
-// schedule + one fire per op against a warm, pre-sized queue. With the
-// concrete 4-ary heap this is allocation-free (the paired assertion is
-// internal/sim's TestEngineZeroAllocSteadyState); under the old
-// container/heap queue every op boxed an event into an interface{}.
+// schedule + one fire per op against a warm, pre-sized queue held 64
+// deep. It is allocation-free (the paired assertion is internal/sim's
+// TestEngineZeroAllocSteadyState). In steady state every insert lands
+// behind all 64 queued events, so each one shifts the whole queue;
+// the model's inserts land far nearer the earliest end: over the fig15
+// sweep the queue peaks at 54 events and 95 % of inserts land within 8
+// slots of that end.
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := sim.NewEngine()
 	fn := func() {}
@@ -311,9 +314,11 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	report(b, float64(e.Fired()), "events_fired")
 }
 
-// BenchmarkEngineChurn stresses both sift directions: four out-of-order
-// schedules and four fires per op over a ~512-deep queue, the shape of a
-// busy multi-app simulation's event mix.
+// BenchmarkEngineChurn is the sorted run's deep-queue worst case: four
+// out-of-order schedules and four fires per op over a ~512-deep queue,
+// with inserts landing anywhere in it. No model scenario builds such a
+// queue: over 200 ms the measured peaks are 27 pending events for 4×A5
+// on Baseline, 65 on VIP and 129 for 32 A5 players on VIP.
 func BenchmarkEngineChurn(b *testing.B) {
 	e := sim.NewEngine()
 	fn := func() {}

@@ -109,6 +109,8 @@ type Request struct {
 	OnDone func()
 
 	arrive sim.Time
+	bank   int   // Addr's bank within its channel, decoded once by Submit
+	row    int64 // Addr's row within that bank
 }
 
 // Stats aggregates controller activity.
@@ -310,6 +312,7 @@ func (c *Controller) Submit(req Request) {
 		return
 	}
 	ch := c.chans[c.channelOf(req.Addr)]
+	req.bank, req.row = c.bankRowOf(req.Addr)
 	ch.queue = append(ch.queue, req)
 	if !ch.busy {
 		c.startNext(ch)
@@ -373,8 +376,7 @@ func (c *Controller) startNext(ch *channel) {
 	// Prefer the first row hit within the scan window (FR), else the
 	// oldest request (FCFS).
 	for i := 0; i < scan; i++ {
-		b, row := c.bankRowOf(ch.queue[i].Addr)
-		if ch.banks[b].openRow == row {
+		if r := &ch.queue[i]; ch.banks[r.bank].openRow == r.row {
 			idx = i
 			break
 		}
@@ -385,15 +387,14 @@ func (c *Controller) startNext(ch *channel) {
 	ch.queue[n] = Request{} // drop the vacated slot's OnDone
 	ch.queue = ch.queue[:n]
 
-	b, row := c.bankRowOf(req.Addr)
 	var overhead sim.Time
-	if ch.banks[b].openRow == row {
+	if bk := &ch.banks[req.bank]; bk.openRow == req.row {
 		c.stats.RowHits++
 		overhead = c.cfg.TCL
 	} else {
 		c.stats.RowMisses++
 		overhead = c.cfg.TRP + c.cfg.TRCD + c.cfg.TCL
-		ch.banks[b].openRow = row
+		bk.openRow = req.row
 		c.acct.Add(energy.DRAMActivate, c.cfg.ActivateNJ*1e-9)
 	}
 	transfer := sim.BytesOver(int64(req.Bytes), c.cfg.ChannelBPS)

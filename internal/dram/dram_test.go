@@ -371,16 +371,121 @@ func TestChannelMapping(t *testing.T) {
 	}
 }
 
+// bankGeometries are the layouts the mapping tests cover: the default
+// power-of-two one and a 3-channel, 6-bank one whose decode divisions
+// cannot reduce to shifts.
+var bankGeometries = []struct {
+	name string
+	set  func(*Config)
+}{
+	{"4ch-8bank", func(*Config) {}},
+	{"3ch-6bank", func(c *Config) { c.Channels, c.BanksPerChannel = 3, 6 }},
+}
+
 func TestBankMapping(t *testing.T) {
-	_, c, _ := newTestController(t, nil)
-	cfg := c.Config()
-	b0, r0 := c.bankRowOf(0)
-	b1, r1 := c.bankRowOf(uint64(cfg.RowBytes * cfg.Channels))
-	if b0 == b1 && r0 == r1 {
-		t.Error("row-span stride should change bank or row")
+	for _, g := range bankGeometries {
+		_, c, _ := newTestController(t, g.set)
+		cfg := c.Config()
+		b0, r0 := c.bankRowOf(0)
+		b1, r1 := c.bankRowOf(uint64(cfg.RowBytes * cfg.Channels))
+		if b0 == b1 && r0 == r1 {
+			t.Errorf("%s: row-span stride should change bank or row", g.name)
+		}
+		banks := map[int]bool{}
+		for i := 0; i < 4*cfg.BanksPerChannel; i++ {
+			addr := uint64(i * cfg.RowBytes * cfg.Channels)
+			b, row := c.bankRowOf(addr)
+			if b < 0 || b >= cfg.BanksPerChannel {
+				t.Fatalf("%s: bank %d of address %#x out of range", g.name, b, addr)
+			}
+			banks[b] = true
+			// Submit decodes once; the stored copy, in service or queued,
+			// must carry the bank and row of decoding the address now.
+			c.Submit(Request{Addr: addr, Bytes: 64})
+			ch := c.chans[c.channelOf(addr)]
+			got := ch.cur
+			if len(ch.queue) > 0 {
+				got = ch.queue[len(ch.queue)-1]
+			}
+			if got.Addr != addr || got.bank != b || got.row != row {
+				t.Errorf("%s: request at %#x stored as bank %d row %d, want %d/%d", g.name, addr, got.bank, got.row, b, row)
+			}
+		}
+		if len(banks) != cfg.BanksPerChannel {
+			t.Errorf("%s: rows striped over %d of %d banks", g.name, len(banks), cfg.BanksPerChannel)
+		}
 	}
-	if b0 < 0 || b0 >= cfg.BanksPerChannel || b1 < 0 || b1 >= cfg.BanksPerChannel {
-		t.Error("bank index out of range")
+}
+
+// TestFRFCFSMatchesScanTimeDecode checks that serving from the bank and
+// row Submit stored gives the order FR-FCFS gives when it decodes every
+// queued address during the scan: per channel, the first row hit within
+// MaxScan, else the oldest request.
+func TestFRFCFSMatchesScanTimeDecode(t *testing.T) {
+	for _, g := range bankGeometries {
+		eng, c, _ := newTestController(t, g.set)
+		cfg := c.Config()
+		r := sim.NewRNG(3)
+		const n = 600
+		reqs := make([]Request, n)
+		got := make([][]int, cfg.Channels)    // served request ids per channel
+		queued := make([][]int, cfg.Channels) // submitted ids per channel
+		for i := range reqs {
+			// Three rows in every bank of every channel, so the stream
+			// mixes row hits, row misses and bank conflicts.
+			chunk := r.Intn(cfg.Channels * cfg.RowBytes / cfg.InterleaveBytes * cfg.BanksPerChannel * 3)
+			addr := uint64(chunk*cfg.InterleaveBytes + r.Intn(4)*64)
+			ch := c.channelOf(addr)
+			reqs[i] = Request{Addr: addr, Bytes: 64, OnDone: func() { got[ch] = append(got[ch], i) }}
+			queued[ch] = append(queued[ch], i)
+		}
+		eng.At(0, func() {
+			for _, req := range reqs {
+				c.Submit(req)
+			}
+		})
+		eng.Drain()
+
+		// Reference: FR-FCFS over each channel's queue, decoding at scan
+		// time. Every request is queued before the first completion, so
+		// the first one starts alone and each later pick sees the rest.
+		reordered := false
+		for ch, queue := range queued {
+			open := make([]int64, cfg.BanksPerChannel)
+			for b := range open {
+				open[b] = -1
+			}
+			var order []int
+			for len(queue) > 0 {
+				idx := 0
+				if len(order) > 0 {
+					for i := 0; i < min(len(queue), cfg.MaxScan); i++ {
+						if b, row := c.bankRowOf(reqs[queue[i]].Addr); open[b] == row {
+							idx = i
+							break
+						}
+					}
+				}
+				id := queue[idx]
+				reordered = reordered || idx > 0
+				queue = append(queue[:idx:idx], queue[idx+1:]...)
+				b, row := c.bankRowOf(reqs[id].Addr)
+				open[b] = row
+				order = append(order, id)
+			}
+			if len(got[ch]) != len(order) {
+				t.Fatalf("%s: channel %d served %d requests, want %d", g.name, ch, len(got[ch]), len(order))
+			}
+			for i := range order {
+				if got[ch][i] != order[i] {
+					t.Fatalf("%s: channel %d service %d is request %d, scan-time decode serves %d",
+						g.name, ch, i, got[ch][i], order[i])
+				}
+			}
+		}
+		if !reordered {
+			t.Fatalf("%s: the stream never reorders; the check proves nothing", g.name)
+		}
 	}
 }
 

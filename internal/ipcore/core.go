@@ -357,10 +357,7 @@ func (c *Core) Submit(laneIdx int, j *Job) error {
 		return fmt.Errorf("ipcore: %s has no lane %d", c.cfg.Name, laneIdx)
 	}
 	sub := c.effectiveSubframe(j)
-	j.chunks = (j.basis() + sub - 1) / sub
-	if j.chunks < 1 {
-		j.chunks = 1
-	}
+	j.setChunks(max(1, (j.basis()+sub-1)/sub))
 	j.lane = c.lanes[laneIdx]
 	j.blockedAt = -1
 	j.submitAt = c.eng.Now()
@@ -525,7 +522,7 @@ func (c *Core) runnable(j *Job) bool {
 			if j.OutConsumer != nil && j.OutLane.head() != j.OutConsumer {
 				return false // shared lane owned by another chain (HOL)
 			}
-			return j.OutLane.free() >= j.outChunk(j.emitted)
+			return j.OutLane.free() >= j.outNext
 		default:
 			return true
 		}
@@ -538,7 +535,7 @@ func (c *Core) runnable(j *Job) bool {
 		case j.InFromDRAM:
 			return j.inReady > j.computed
 		default:
-			return j.inLatched >= j.inChunk(j.computed)
+			return j.inLatched >= j.inNext
 		}
 	}
 	return false // only retiring DRAM writes remain
@@ -552,7 +549,7 @@ func (c *Core) drainLane(j *Job) {
 	if j.InFromDRAM || j.InBytes == 0 || j.computed >= j.chunks {
 		return
 	}
-	need := j.inChunk(j.computed) - j.inLatched
+	need := j.inNext - j.inLatched
 	if need <= 0 {
 		return
 	}
@@ -821,13 +818,12 @@ func (c *Core) compute(j *Job) {
 		c.dispatch()
 		return
 	}
-	k := j.computed
 	if j.InBytes > 0 && !j.InFromDRAM {
 		// The chunk's input was drained into the latch by the scheduler.
-		j.inLatched -= j.inChunk(k)
+		j.inLatched -= j.inNext
 	}
-	c.stats.BytesIn += uint64(j.inChunk(k))
-	d := sim.BytesOver(int64(j.basisChunk(k)), c.cfg.ThroughputBPS)
+	c.stats.BytesIn += uint64(j.inNext)
+	d := sim.BytesOver(int64(j.basisChunk(j.computed)), c.cfg.ThroughputBPS)
 	if j.ComputeScale > 0 {
 		d = sim.Time(float64(d) * j.ComputeScale)
 	}
@@ -851,7 +847,7 @@ func (c *Core) computeDone() {
 		c.dispatch()
 		return
 	}
-	j.computed++
+	j.advanceCompute()
 	c.emit(j)
 }
 
@@ -863,7 +859,7 @@ func (c *Core) emit(j *Job) {
 		return
 	}
 	k := j.emitted
-	out := j.outChunk(k)
+	out := j.outNext
 	switch {
 	case j.OutToDRAM:
 		if j.writesOut >= c.cfg.MaxWrites {
@@ -873,7 +869,7 @@ func (c *Core) emit(j *Job) {
 			return
 		}
 		j.writesOut++
-		j.emitted++
+		j.advanceEmit()
 		c.stats.BytesOut += uint64(out)
 		j.dramNS -= int64(c.eng.Now())
 		c.mem.Submit(dram.Request{
@@ -896,7 +892,7 @@ func (c *Core) emit(j *Job) {
 		j.nocNS -= int64(c.eng.Now())
 		c.sa.Transfer(out, c.transferDoneFn)
 	default: // sink: output vanishes into the device
-		j.emitted++
+		j.advanceEmit()
 		c.stats.BytesOut += uint64(out)
 		c.chunkDone(j)
 	}
@@ -906,7 +902,7 @@ func (c *Core) emit(j *Job) {
 // the downstream lane once it has crossed the SA.
 func (c *Core) emitDone() {
 	j := c.active
-	out := j.outChunk(j.emitted)
+	out := j.outNext
 	j.nocNS += int64(c.eng.Now())
 	if j.aborted {
 		// The frame was cancelled while the sub-frame was in flight:
@@ -918,7 +914,7 @@ func (c *Core) emitDone() {
 	}
 	j.OutLane.depositReserved(out)
 	j.OutLane.core.kick()
-	j.emitted++
+	j.advanceEmit()
 	c.stats.BytesOut += uint64(out)
 	c.chunkDone(j)
 }

@@ -1,6 +1,7 @@
 package ipcore
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -134,24 +135,98 @@ func TestChunkPartitioning(t *testing.T) {
 }
 
 // Property: chunk partitions always sum exactly and every chunk is
-// non-negative, for arbitrary sizes and chunk counts.
+// non-negative, for arbitrary sizes and chunk counts; the cached next
+// chunk sizes track the progress counters through every chunk.
 func TestChunkPartitionProperty(t *testing.T) {
 	f := func(in, out uint16, kRaw uint8) bool {
 		k := int(kRaw%31) + 1
-		j := &Job{InBytes: int(in), OutBytes: int(out), chunks: k}
+		j := &Job{InBytes: int(in), OutBytes: int(out)}
+		j.setChunks(k)
 		var si, so int
 		for c := 0; c < k; c++ {
 			ic, oc := j.inChunk(c), j.outChunk(c)
-			if ic < 0 || oc < 0 {
+			if ic < 0 || oc < 0 || chunkCacheErr(j) != "" {
 				return false
 			}
 			si += ic
 			so += oc
+			j.advanceCompute()
+			if chunkCacheErr(j) != "" {
+				return false
+			}
+			j.advanceEmit()
 		}
 		return si == int(in) && so == int(out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// chunkCacheErr describes how j's cached chunk sizes disagree with its
+// progress counters, or returns "" when they agree.
+func chunkCacheErr(j *Job) string {
+	if j.computed < j.chunks && j.inNext != j.inChunk(j.computed) {
+		return fmt.Sprintf("%s: inNext = %d, inChunk(%d) = %d", j.Label, j.inNext, j.computed, j.inChunk(j.computed))
+	}
+	if j.emitted < j.chunks && j.outNext != j.outChunk(j.emitted) {
+		return fmt.Sprintf("%s: outNext = %d, outChunk(%d) = %d", j.Label, j.outNext, j.emitted, j.outChunk(j.emitted))
+	}
+	return ""
+}
+
+// TestChunkCacheTracksProgress runs two-lane EDF cores joined IP-to-IP,
+// with sizes that leave chunk remainders and one job aborted mid-frame,
+// and checks every job's cached chunk sizes after every event.
+func TestChunkCacheTracksProgress(t *testing.T) {
+	r := newRig()
+	cfg := testConfig("vd")
+	cfg.Lanes = 2
+	cfg.Policy = EDF
+	cfg.CtxSwitch = 100 * sim.Nanosecond
+	prod := r.newCore(cfg)
+	cfg.Name = "dc"
+	cons := r.newCore(cfg)
+
+	chained := &Job{Label: "dc/chained", InBytes: 23_999, OutBytes: 20_001, OutToDRAM: true, Deadline: sim.Millisecond}
+	aborted := &Job{Label: "dc/aborted", InBytes: 30_007, OutBytes: 7_001, InFromDRAM: true, OutToDRAM: true,
+		Deadline: sim.Millisecond + 1}
+	after := &Job{Label: "dc/after", InBytes: 5_003, OutBytes: 9_999, InFromDRAM: true, OutToDRAM: true,
+		Deadline: 2 * sim.Millisecond}
+	feed := &Job{Label: "vd/feed", InBytes: 4_097, OutBytes: 23_999, InFromDRAM: true,
+		OutLane: cons.Lane(0), OutConsumer: chained, Deadline: sim.Millisecond}
+	source := &Job{Label: "vd/source", OutBytes: 13_013, OutToDRAM: true, Deadline: 2 * sim.Millisecond}
+	for _, s := range []struct {
+		c    *Core
+		lane int
+		j    *Job
+	}{{cons, 0, chained}, {cons, 1, aborted}, {cons, 1, after}, {prod, 0, feed}, {prod, 1, source}} {
+		if err := s.c.Submit(s.lane, s.j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs := []*Job{chained, aborted, after, feed, source}
+	for r.eng.Step() {
+		if !aborted.Done() && aborted.computed >= 3 {
+			cons.Abort(aborted)
+		}
+		for _, j := range jobs {
+			if msg := chunkCacheErr(j); msg != "" {
+				t.Fatalf("at %v: %s", r.eng.Now(), msg)
+			}
+		}
+	}
+	if !aborted.Aborted() || aborted.computed >= aborted.chunks {
+		t.Fatalf("aborted job: aborted=%v computed %d of %d chunks; want a mid-frame abort",
+			aborted.Aborted(), aborted.computed, aborted.chunks)
+	}
+	for _, j := range []*Job{chained, after, feed, source} {
+		if !j.Done() || j.Aborted() || j.emitted != j.chunks || j.chunks < 2 {
+			t.Errorf("%s: done=%v aborted=%v emitted %d of %d chunks", j.Label, j.Done(), j.Aborted(), j.emitted, j.chunks)
+		}
+	}
+	if cons.Stats().CtxSwitch == 0 {
+		t.Error("the two consumer lanes never interleaved")
 	}
 }
 

@@ -71,6 +71,8 @@ type Job struct {
 	chunks     int // number of sub-frame steps
 	computed   int // chunks whose compute finished
 	emitted    int // chunks whose output was handed off
+	inNext     int // inChunk(computed), kept by setChunks and advanceCompute
+	outNext    int // outChunk(emitted), kept by setChunks and advanceEmit
 	inReady    int // chunks of input available
 	inIssued   int // chunks of DRAM input requested
 	inLatched  int // bytes drained from the lane into the input latch
@@ -150,6 +152,27 @@ func (j *Job) inChunk(k int) int {
 // outChunk returns the output bytes produced by chunk k.
 func (j *Job) outChunk(k int) int {
 	return j.OutBytes*(k+1)/j.chunks - j.OutBytes*k/j.chunks
+}
+
+// setChunks splits the job into n sub-frame steps and caches the sizes
+// of the chunks it computes and emits next.
+func (j *Job) setChunks(n int) {
+	j.chunks = n
+	j.inNext, j.outNext = j.inChunk(j.computed), j.outChunk(j.emitted)
+}
+
+// advanceCompute marks chunk computed as computed and caches the next
+// chunk's input size.
+func (j *Job) advanceCompute() {
+	j.computed++
+	j.inNext = j.inChunk(j.computed)
+}
+
+// advanceEmit marks chunk emitted as handed off and caches the next
+// chunk's output size.
+func (j *Job) advanceEmit() {
+	j.emitted++
+	j.outNext = j.outChunk(j.emitted)
 }
 
 // basisChunk returns the compute-basis bytes of chunk k.

@@ -27,9 +27,9 @@
 //     real minimum latency.
 //
 // Determinism: with the same inputs, every window boundary, every
-// intra-domain (at, seq) execution order and every boundary-event merge
-// order is a pure function of simulated state, never of host
-// scheduling. Runs are bit-identical across GOMAXPROCS settings, run
+// intra-domain (time, scheduling order) execution order and every
+// boundary-event merge order is a pure function of simulated state,
+// never of host scheduling. Runs are bit-identical across GOMAXPROCS settings, run
 // counts and -race. The one contract the model must uphold is that
 // results do not depend on the relative order of *same-instant* events
 // in *different* domains, because those never synchronize against each

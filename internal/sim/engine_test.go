@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -356,7 +357,7 @@ func TestRNGFork(t *testing.T) {
 // old container/heap implementation: eventHeap.Pop shrank the slice with
 // `*h = old[:n-1]`, which kept old[n-1].fn — and everything the closure
 // captured — reachable through the backing array until a later push
-// happened to overwrite the slot. The 4-ary heap clears the vacated slot
+// happened to overwrite the slot. The sorted run clears the vacated slot
 // on every Step, so a drained engine pins no closures.
 func TestEngineStepClearsPoppedSlot(t *testing.T) {
 	e := NewEngine()
@@ -418,7 +419,7 @@ func TestEngineNextAt(t *testing.T) {
 
 // TestEngineZeroAllocChurn is the same assertion under churn: a deep
 // queue with out-of-order inserts, four pushes and four pops per round,
-// exercising both sift directions.
+// so inserts land deep in the sorted run, not only at its earliest end.
 func TestEngineZeroAllocChurn(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
@@ -439,6 +440,80 @@ func TestEngineZeroAllocChurn(t *testing.T) {
 		t.Errorf("churn round = %v allocs/op, want 0", allocs)
 	}
 	e.Drain()
+}
+
+// TestEngineQueueMatchesStableSort is a randomized model check of the
+// event queue. It interleaves At/After calls with Step and Run(until)
+// horizons, using zero delays, repeated timestamps and callbacks that
+// schedule more events (often at their own instant). Events must fire
+// in the order of a stable sort by (time, schedule index), and NextAt
+// and Pending must match a reference queue after every operation.
+// With no sequence number in the queue, this pins same-instant FIFO
+// under nesting.
+func TestEngineQueueMatchesStableSort(t *testing.T) {
+	type ref struct {
+		at  Time
+		idx int // schedule index
+	}
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := NewRNG(seed)
+		e := NewEngine()
+		var scheduled, fired []ref
+		var pending []ref // the reference queue, in (time, index) order
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			d := Time(r.Intn(50))
+			if r.Intn(2) == 0 {
+				d = Time(r.Intn(3)) // clustered: zero delays, repeated timestamps
+			}
+			ev := ref{at: e.Now() + d, idx: len(scheduled)}
+			fn := func() {
+				if pending[0] != ev || e.Now() != ev.at {
+					t.Fatalf("seed %d: fired event %d at %v, reference expects event %d at %v",
+						seed, ev.idx, e.Now(), pending[0].idx, pending[0].at)
+				}
+				pending = pending[1:]
+				fired = append(fired, ev)
+				for n := r.Intn(3); depth < 3 && n > 0; n-- {
+					schedule(depth + 1)
+				}
+			}
+			if r.Intn(2) == 0 {
+				e.At(ev.at, fn)
+			} else {
+				e.After(d, fn)
+			}
+			scheduled = append(scheduled, ev)
+			i := sort.Search(len(pending), func(k int) bool { return pending[k].at > ev.at })
+			pending = slices.Insert(pending, i, ev)
+		}
+		for op := 0; op < 300; op++ {
+			switch r.Intn(5) {
+			case 0, 1, 2:
+				schedule(0)
+			case 3:
+				if had := len(pending) > 0; e.Step() != had {
+					t.Fatalf("seed %d op %d: Step disagrees with the reference", seed, op)
+				}
+			case 4:
+				until := e.Now() + Time(r.Intn(40))
+				e.Run(until)
+				if e.Now() != until || len(pending) > 0 && pending[0].at <= until {
+					t.Fatalf("seed %d op %d: Run(%v) left now at %v, reference %v", seed, op, until, e.Now(), pending)
+				}
+			}
+			at, ok := e.NextAt()
+			if e.Pending() != len(pending) || ok != (len(pending) > 0) || ok && at != pending[0].at {
+				t.Fatalf("seed %d op %d: Pending = %d, NextAt = %v,%v; reference %v", seed, op, e.Pending(), at, ok, pending)
+			}
+		}
+		e.Drain()
+		want := slices.Clone(scheduled)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if !slices.Equal(fired, want) {
+			t.Fatalf("seed %d: fired %v, stable sort %v", seed, fired, want)
+		}
+	}
 }
 
 func BenchmarkEngineSchedule(b *testing.B) {
