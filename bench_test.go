@@ -22,7 +22,6 @@ import (
 
 	"github.com/vipsim/vip/internal/experiments"
 	"github.com/vipsim/vip/internal/parallel"
-	"github.com/vipsim/vip/internal/partition"
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/vip"
@@ -337,66 +336,6 @@ func BenchmarkEngineChurn(b *testing.B) {
 		}
 	}
 	report(b, float64(e.Fired()), "events_fired")
-}
-
-// BenchmarkEnginePartitioned runs the synthetic latency-insensitive
-// multi-chain workload (partition.ChainScenario: 256 chains x 6 hops,
-// ~20 us boundary latency = the lookahead) on the conservative-lookahead
-// engine at 1/2/4/8 clock domains. domains=1 is the serial baseline
-// (same event timeline, no windows); the events_per_sec ratio against
-// it is the partitioned runtime's genuine speedup on this host. The
-// workload's checksum is domain-count invariant, so the benchmark also
-// re-verifies determinism on every iteration. Scaling needs real cores:
-// on a single-CPU host the windows only add overhead (the documented
-// "when partitioning does not help" case), while CI runs this at
-// GOMAXPROCS 2 and 8.
-func BenchmarkEnginePartitioned(b *testing.B) {
-	measure(b)
-	scen := partition.ChainScenario{
-		Chains:   256,
-		Hops:     6,
-		Service:  2 * sim.Microsecond,
-		HopLat:   20 * sim.Microsecond,
-		Work:     600,
-		Duration: 10 * sim.Millisecond,
-	}
-	want := scen.Run(1)
-	if want.Events == 0 {
-		b.Fatal("chain scenario executed no events")
-	}
-	evPerSec := map[int]float64{}
-	nsPerOp := map[int]float64{}
-	for _, domains := range []int{1, 2, 4, 8} {
-		domains := domains
-		b.Run(fmt.Sprintf("domains=%d", domains), func(b *testing.B) {
-			measure(b)
-			for i := 0; i < b.N; i++ {
-				got := scen.Run(domains)
-				if got.Events != want.Events || got.Checksum != want.Checksum {
-					b.Fatalf("domains=%d diverged from serial: events=%d checksum=%#x, want events=%d checksum=%#x",
-						domains, got.Events, got.Checksum, want.Events, want.Checksum)
-				}
-			}
-			b.StopTimer()
-			evps := float64(want.Events) * float64(b.N) / b.Elapsed().Seconds()
-			evPerSec[domains] = evps
-			nsPerOp[domains] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			report(b, evps, "events_per_sec")
-			report(b, float64(want.Events), "events_per_run")
-		})
-	}
-	// Aggregate trajectory: serial baseline plus per-domain-count
-	// throughput and speedup in one BENCH_EnginePartitioned.json.
-	for _, domains := range []int{1, 2, 4, 8} {
-		if evps, ok := evPerSec[domains]; ok {
-			report(b, nsPerOp[domains], fmt.Sprintf("ns_per_op_domains_%d", domains))
-			report(b, evps, fmt.Sprintf("events_per_sec_domains_%d", domains))
-			if base := evPerSec[1]; base > 0 {
-				report(b, evps/base, fmt.Sprintf("speedup_domains_%d", domains))
-			}
-		}
-	}
-	report(b, float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
 // BenchmarkSweepParallel runs the full 5-design x 15-scenario mode sweep

@@ -41,11 +41,9 @@ func main() {
 	jsonOut := flag.String("json", "", "also write every experiment's data as machine-readable JSON to this file")
 	jobs := flag.Int("jobs", 0, "parallel workers for independent simulation runs (0 = GOMAXPROCS, 1 = serial)")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory; cells already simulated (by an earlier vipfig run or a vipserve sharing the directory) are reused instead of re-run")
-	partitions := flag.Int("partitions", 0, "clock-domain count for the partitioned engine on every run (0/1 = serial; figure data is byte-identical at every value)")
 	flag.Parse()
 
 	parallel.SetJobs(*jobs)
-	experiments.SetPartitions(*partitions)
 	if *cacheDir != "" {
 		experiments.SetCache(cache.New(4096, *cacheDir))
 	}

@@ -61,7 +61,6 @@ func main() {
 	accessLog := flag.String("access-log", "", "write one JSON line per request to this file (\"-\" for stdout)")
 	streamInterval := flag.Duration("stream-interval", time.Second, "period of /v1/sim/stream snapshots (negative disables them, leaving job events only)")
 	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	partitions := flag.Int("partitions", 0, "clock-domain count for the partitioned engine on every run (0/1 = serial; report bytes and cache keys are identical)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "vipserve: unexpected arguments: %v\n", flag.Args())
@@ -96,7 +95,6 @@ func main() {
 		AccessLog:      logw,
 		StreamInterval: *streamInterval,
 		EnablePprof:    *enablePprof,
-		Partitions:     *partitions,
 	})
 	// A store the operator asked for but that cannot open at boot is a
 	// configuration error, not a runtime degradation: fail fast so the

@@ -5,7 +5,6 @@
 //	vipsim -system vip -apps A5,A5 -duration 400ms
 //	vipsim -system baseline -apps W4
 //	vipsim -compare -apps W1          # all five designs side by side
-//	vipsim -system vip -apps W1 -partitions 4   # partitioned engine, identical output bytes
 //
 // Observability (see the README's Observability section):
 //
@@ -57,7 +56,6 @@ func main() {
 	faultRate := flag.Float64("fault-rate", 0, "base fault-injection rate (per-job lane-hang probability; scales the whole mix)")
 	faultSeed := flag.Uint64("fault-seed", 0, "fault stream seed override (0 = derive from -seed)")
 	faultNoRecovery := flag.Bool("fault-no-recovery", false, "inject faults with watchdogs/retries/quarantine disabled (control arm)")
-	partitions := flag.Int("partitions", 0, "clock-domain count for the partitioned engine (0/1 = serial; results are byte-identical at every value)")
 	flag.Parse()
 
 	ids := strings.Split(*apps, ",")
@@ -71,15 +69,10 @@ func main() {
 		Seed:            *seed,
 		IdealMemory:     *ideal,
 		LaneBufferBytes: *lane,
-		Partitions:      *partitions,
 	}
-	if *partitions > 1 {
-		// The plan is operator diagnostics on stderr; stdout (report,
-		// summaries) stays byte-identical to a serial run.
-		plan, err := vip.DescribePartitionPlan(vip.Scenario{System: vip.SystemVIP, Apps: ids, IdealMemory: *ideal, Partitions: *partitions})
-		if err == nil {
-			fmt.Fprintln(os.Stderr, "vipsim:", plan)
-		}
+	if *compare && (*reportJSON != "" || *metricsOut != "" || *metricsCSV != "" || *traceSpans != "" || *traceSpansChrome != "") {
+		fmt.Fprintln(os.Stderr, "vipsim: -compare prints a table only; it cannot write -report-json, -metrics-out, -metrics-csv, -trace-spans or -trace-spans-chrome")
+		os.Exit(2)
 	}
 	if *faultRate < 0 {
 		fmt.Fprintln(os.Stderr, "vipsim: -fault-rate must be non-negative")

@@ -121,15 +121,13 @@ func matchSimPackages(pkgPath string) bool {
 
 // concPackages are the long-lived, goroutine- and lock-bearing packages
 // where the flow-sensitive concurrency rules apply: the serving stack
-// and its storage, the worker pool, the partition orchestrator, the
-// disk cache, and the metrics exporter. The engine packages are
-// deliberately excluded — they are single-threaded by construction and
-// simdeterminism already bans spawning goroutines there;
-// internal/partition is the one sanctioned bridge between the two
-// worlds (it spawns the window workers), so it is policed here.
+// and its storage, the worker pool, the disk cache, and the metrics
+// exporter. The engine packages are deliberately excluded — they are
+// single-threaded by construction and simdeterminism already bans
+// spawning goroutines there.
 var concPackages = []string{
 	"internal/serve", "internal/store", "internal/parallel",
-	"internal/cache", "internal/metrics", "internal/partition",
+	"internal/cache", "internal/metrics",
 }
 
 // matchConcPackages scopes a rule to the concurrency-bearing packages.

@@ -13,8 +13,8 @@ package analysis
 //
 // An orphan goroutine in these packages outlives its owner, holds
 // references alive, and keeps running work (and grabbing locks) during
-// shutdown — precisely the class of leak the MPMC pool and partitioned
-// engine refactors must not introduce.
+// shutdown — precisely the class of leak the MPMC pool must not
+// introduce.
 
 import (
 	"go/ast"

@@ -115,19 +115,6 @@ type Options struct {
 	OnMetricsSample func(*metrics.Sampler)
 	// Recovery configures the driver-level fault recovery layer.
 	Recovery Recovery
-	// Driver, when non-nil, advances simulated time instead of the
-	// platform engine's own Run — the seam the partitioned runtime
-	// (internal/partition) plugs its window orchestrator into. It must
-	// execute every event on the platform's engine up to the horizon it
-	// is given and settle the clock there, exactly as Engine.Run does.
-	Driver Driver
-}
-
-// Driver advances a simulation to a horizon. *sim.Engine's Run method
-// and partition.Coordinator's Run method both satisfy the shape; the
-// Runner calls it exactly once per run.
-type Driver interface {
-	Run(until sim.Time)
 }
 
 // Recovery configures the driver's fault detection and recovery: frame

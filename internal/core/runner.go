@@ -220,11 +220,7 @@ func (r *Runner) Run() (*Report, error) {
 	// throughput); it never feeds simulated state or the report's
 	// deterministic fields.
 	wallStart := time.Now() //viplint:allow simdeterminism,walltime -- host-side self-profile only
-	if r.opts.Driver != nil {
-		r.opts.Driver.Run(r.opts.Duration)
-	} else {
-		r.p.Eng.Run(r.opts.Duration)
-	}
+	r.p.Eng.Run(r.opts.Duration)
 	r.simWallSeconds = time.Since(wallStart).Seconds() //viplint:allow simdeterminism,walltime -- host-side self-profile only
 	r.p.FinalizeAccounting()
 

@@ -16,7 +16,6 @@ import (
 	"github.com/vipsim/vip/internal/core"
 	"github.com/vipsim/vip/internal/fault"
 	"github.com/vipsim/vip/internal/parallel"
-	"github.com/vipsim/vip/internal/partition"
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/internal/workload"
@@ -43,25 +42,7 @@ type Config struct {
 	// Recovery arms the watchdog/retry/quarantine stack (only meaningful
 	// with Faults enabled).
 	Recovery bool
-	// Partitions selects the execution engine: 0 inherits the package
-	// default (SetPartitions, the vipfig -partitions flag), 1 forces the
-	// serial engine, N > 1 the partitioned runtime with N clock domains.
-	// Reports are byte-identical at every value, so the field is
-	// deliberately NOT part of the canonical cache key: a cached serial
-	// report is valid for a partitioned run and vice versa.
-	Partitions int
 }
-
-// defaultPartitions is the package-wide execution-engine default
-// applied when Config.Partitions is zero. It is set once at process
-// start (flag parsing), before any runs, and only read afterwards.
-var defaultPartitions int
-
-// SetPartitions sets the package-wide partitioned-engine default: every
-// subsequent Run with Config.Partitions == 0 uses n clock domains
-// (0/1 = serial). Call it before launching runs; it is not safe to race
-// with RunAll.
-func SetPartitions(n int) { defaultPartitions = n }
 
 func (c Config) withDefaults() Config {
 	if c.Duration == 0 {
@@ -117,21 +98,6 @@ func runUncached(cfg Config) (*core.Report, error) {
 			pcfg.QuarantineAfter = 2
 			pcfg.RepairLatency = 20 * sim.Millisecond
 			opts.Recovery.Enabled = true
-		}
-	}
-	// Partitioned execution is a pure engine swap: the coupled SoC model
-	// occupies the coordinator's domain 0 and output bytes are identical
-	// (see ARCHITECTURE.md "Partitioned execution & conservative
-	// lookahead"), which is why Partitions stays out of the cache key.
-	domains := cfg.Partitions
-	if domains == 0 {
-		domains = defaultPartitions
-	}
-	if domains > 1 {
-		if look := pcfg.Lookahead(); look > 0 {
-			coord := partition.New(domains, look)
-			pcfg.Engine = coord.Domain(0).Engine()
-			opts.Driver = coord
 		}
 	}
 	p := platform.New(pcfg)

@@ -99,13 +99,6 @@ func DefaultIPParams() map[ipcore.Kind]IPParams {
 type Config struct {
 	Mode Mode
 
-	// Engine, when non-nil, hosts the platform on an existing engine
-	// instead of a fresh one. The partitioned runtime uses this to
-	// place the whole SoC model inside one clock domain of a
-	// partition.Coordinator; everything else about the build is
-	// unchanged.
-	Engine *sim.Engine
-
 	CPU  cpu.Config
 	DRAM dram.Config
 	NOC  noc.Config
@@ -234,10 +227,7 @@ func New(cfg Config) *Platform {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	acct := &energy.Account{}
 	var inj *fault.Injector
 	if cfg.Faults.Enabled() {

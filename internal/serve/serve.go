@@ -88,12 +88,6 @@ type Config struct {
 	// vip.Simulate and serializing the report; tests substitute stubs to
 	// control timing and output.
 	Run func(vip.Scenario) ([]byte, error)
-	// Partitions, when > 1, runs every simulation on the partitioned
-	// engine with that many clock domains (the vipserve -partitions
-	// flag). It is a pure execution knob: report bytes, scenario hashes
-	// and cache keys are identical to serial runs, so cached results
-	// remain valid across the setting.
-	Partitions int
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// completed request (the wall-clock request span). Writes are
 	// serialized by the server.
@@ -147,14 +141,7 @@ func (c Config) withDefaults() Config {
 		c.MaxJobs = 1024
 	}
 	if c.Run == nil {
-		if parts := c.Partitions; parts > 1 {
-			c.Run = func(sc vip.Scenario) ([]byte, error) {
-				sc.Partitions = parts
-				return runScenario(sc)
-			}
-		} else {
-			c.Run = runScenario
-		}
+		c.Run = runScenario
 	}
 	if c.StreamInterval == 0 {
 		c.StreamInterval = time.Second

@@ -23,10 +23,8 @@ const EngineVersion = "vip-engine/1"
 // event queue so the scheduling hot path is allocation-free.
 //
 // An Engine is single-threaded by design: one goroutine at a time may
-// schedule or execute events. The partitioned runtime
-// (internal/partition) runs one Engine per clock domain and hands each
-// domain to at most one worker per synchronization window, with the
-// window barrier ordering every cross-domain hand-off.
+// schedule or execute events. Each run owns one Engine; parallelism
+// lives across runs (internal/parallel), never inside one.
 type Engine struct {
 	now Time
 	q   eventQueue
@@ -50,17 +48,6 @@ func (e *Engine) Pending() int { return e.q.len() }
 
 // Fired reports the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// NextAt reports the timestamp of the earliest pending event. ok is
-// false when the queue is empty. The partitioned orchestrator uses this
-// peek to compute the global safe-execution horizon (min over domain
-// heads plus the lookahead window) without disturbing the queue.
-func (e *Engine) NextAt() (at Time, ok bool) {
-	if e.q.len() == 0 {
-		return 0, false
-	}
-	return e.q.peek().at, true
-}
 
 // At schedules fn to run at absolute time t, after every event already
 // scheduled at or before t. Scheduling in the past (t < Now) panics: it

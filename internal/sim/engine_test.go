@@ -394,29 +394,6 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	e.Drain()
 }
 
-// TestEngineNextAt pins the peek the partitioned orchestrator builds
-// its safe-execution horizon on: NextAt must report the earliest
-// pending timestamp without executing or reordering anything.
-func TestEngineNextAt(t *testing.T) {
-	e := NewEngine()
-	if _, ok := e.NextAt(); ok {
-		t.Fatal("NextAt on an empty engine reported an event")
-	}
-	e.At(30, func() {})
-	e.At(10, func() {})
-	e.At(20, func() {})
-	if at, ok := e.NextAt(); !ok || at != 10 {
-		t.Fatalf("NextAt = %v,%v, want 10,true", at, ok)
-	}
-	if e.Fired() != 0 || e.Pending() != 3 {
-		t.Fatalf("NextAt disturbed the queue: fired=%d pending=%d", e.Fired(), e.Pending())
-	}
-	e.Step()
-	if at, ok := e.NextAt(); !ok || at != 20 {
-		t.Fatalf("NextAt after one step = %v,%v, want 20,true", at, ok)
-	}
-}
-
 // TestEngineZeroAllocChurn is the same assertion under churn: a deep
 // queue with out-of-order inserts, four pushes and four pops per round,
 // so inserts land deep in the sorted run, not only at its earliest end.
@@ -446,8 +423,9 @@ func TestEngineZeroAllocChurn(t *testing.T) {
 // event queue. It interleaves At/After calls with Step and Run(until)
 // horizons, using zero delays, repeated timestamps and callbacks that
 // schedule more events (often at their own instant). Events must fire
-// in the order of a stable sort by (time, schedule index), and NextAt
-// and Pending must match a reference queue after every operation.
+// in the order of a stable sort by (time, schedule index), and the
+// queue head and Pending must match a reference queue after every
+// operation.
 // With no sequence number in the queue, this pins same-instant FIFO
 // under nesting.
 func TestEngineQueueMatchesStableSort(t *testing.T) {
@@ -502,9 +480,11 @@ func TestEngineQueueMatchesStableSort(t *testing.T) {
 					t.Fatalf("seed %d op %d: Run(%v) left now at %v, reference %v", seed, op, until, e.Now(), pending)
 				}
 			}
-			at, ok := e.NextAt()
-			if e.Pending() != len(pending) || ok != (len(pending) > 0) || ok && at != pending[0].at {
-				t.Fatalf("seed %d op %d: Pending = %d, NextAt = %v,%v; reference %v", seed, op, e.Pending(), at, ok, pending)
+			if e.Pending() != len(pending) {
+				t.Fatalf("seed %d op %d: Pending = %d; reference %v", seed, op, e.Pending(), pending)
+			}
+			if len(pending) > 0 && e.q.peek().at != pending[0].at {
+				t.Fatalf("seed %d op %d: queue head at %v; reference %v", seed, op, e.q.peek().at, pending)
 			}
 		}
 		e.Drain()

@@ -7,11 +7,10 @@ type event struct {
 }
 
 // eventQueue is the engine's pending events as one slice kept sorted
-// latest-first, so the earliest event is the last element. It is the
-// storage half of the engine split: Engine owns the clock and scheduling
-// discipline, eventQueue owns the ordered store, and the partitioned
-// runtime (internal/partition) gives every clock domain a private
-// Engine, and therefore a private eventQueue.
+// latest-first, so the earliest event is the last element. Engine owns
+// the clock and scheduling discipline; eventQueue owns the ordered
+// store and hides its layout, so the ordering algorithm can change
+// without touching the scheduling rules.
 //
 // The layout fits the model's traffic: queues stay shallow (tens of
 // events) and nearly every new event lands a few slots from the

@@ -39,11 +39,8 @@ const EngineVersion = sim.EngineVersion
 //   - normalizes a Faults block through the same defaulting the
 //     simulator applies (derived fault seed, mean hang time, slowdown
 //     factor, ECC retry latency), and omits it entirely when nil;
-//   - excludes host-side observers (ChromeTrace, OnMetricsSnapshot)
-//     and pure execution knobs (Partitions — the partitioned engine is
-//     byte-identical to the serial one by contract, so the same cached
-//     result serves every partition count), which never influence
-//     simulated results.
+//   - excludes host-side observers (ChromeTrace, OnMetricsSnapshot),
+//     which never influence simulated results.
 //
 // Fields appear one per line in a fixed order, so the encoding is also
 // a readable debugging artifact. Canonical fails on scenarios that

@@ -3,7 +3,6 @@ package vip_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"github.com/vipsim/vip/internal/experiments"
@@ -24,9 +23,8 @@ type artifacts struct {
 
 // runOnce executes a faulted, recovered, metered, traced multi-app
 // scenario — every subsystem that could smuggle nondeterminism into an
-// export is on — on the serial engine (partitions <= 1) or the
-// partitioned runtime.
-func runOnce(t *testing.T, seed uint64, partitions int) artifacts {
+// export is on.
+func runOnce(t *testing.T, seed uint64) artifacts {
 	t.Helper()
 	var chrome bytes.Buffer
 	faults := vip.UniformFaults(0.02)
@@ -39,7 +37,6 @@ func runOnce(t *testing.T, seed uint64, partitions int) artifacts {
 		ChromeTrace:     &chrome,
 		TraceSpans:      true,
 		Faults:          faults,
-		Partitions:      partitions,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +78,8 @@ func runOnce(t *testing.T, seed uint64, partitions int) artifacts {
 // must export byte-identical report JSON, metric time series (JSON and
 // CSV), Chrome trace and summary.
 func TestSameSeedByteIdentical(t *testing.T) {
-	a := runOnce(t, 7, 1)
-	b := runOnce(t, 7, 1)
+	a := runOnce(t, 7)
+	b := runOnce(t, 7)
 	checkArtifacts(t, "same-seed runs", a, b)
 	if len(a.report) == 0 || len(a.tsCSV) == 0 || len(a.chrome) == 0 || len(a.spanJSONL) == 0 {
 		t.Fatal("a determinism check over empty artifacts proves nothing")
@@ -124,30 +121,12 @@ func checkArtifacts(t *testing.T, label string, a, b artifacts) {
 	}
 }
 
-// TestPartitionedMatchesSerial is the partitioned engine's headline
-// contract (ARCHITECTURE.md "Partitioned execution & conservative
-// lookahead"): running the full faulted/metered/traced corpus scenario
-// with -partitions 2/4/8 exports the same bytes as the serial engine —
-// report JSON, both time-series encodings, both trace formats, span
-// JSONL, summary.
-func TestPartitionedMatchesSerial(t *testing.T) {
-	serial := runOnce(t, 7, 1)
-	if len(serial.report) == 0 || len(serial.spanJSONL) == 0 {
-		t.Fatal("serial baseline artifacts are empty; the comparison proves nothing")
-	}
-	for _, parts := range []int{2, 4, 8} {
-		part := runOnce(t, 7, parts)
-		checkArtifacts(t, fmt.Sprintf("serial and partitions=%d", parts), serial, part)
-	}
-}
-
-// TestFaultGridPartitionedMatchesSerial sweeps the riskiest interaction
-// — fault injection plus partitioning — across fault rates and both
-// recovery arms: every cell must be byte-identical between the serial
-// and the 4-domain engine. Fault streams, watchdog resets, retries and
-// degradation all ride engine event order, so any partition-runtime
-// ordering slip shows up here first.
-func TestFaultGridPartitionedMatchesSerial(t *testing.T) {
+// TestFaultGridSameSeedByteIdentical runs every cell of a fault-rate x
+// recovery grid twice with the same seed and compares report and span
+// bytes. Fault streams, watchdog resets, retries and degradation all
+// ride engine event order, and this is the only byte-identity check of
+// the DisableRecovery arm.
+func TestFaultGridSameSeedByteIdentical(t *testing.T) {
 	for _, rate := range []float64{0, 0.01, 0.05} {
 		for _, noRecovery := range []bool{false, true} {
 			if rate == 0 && noRecovery {
@@ -165,10 +144,8 @@ func TestFaultGridPartitionedMatchesSerial(t *testing.T) {
 				f.DisableRecovery = noRecovery
 				sc.Faults = f
 			}
-			run := func(partitions int) (report, spans []byte) {
-				s := sc
-				s.Partitions = partitions
-				res, err := vip.Simulate(s)
+			run := func() (report, spans []byte) {
+				res, err := vip.Simulate(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -183,12 +160,12 @@ func TestFaultGridPartitionedMatchesSerial(t *testing.T) {
 				}
 				return report, append([]byte(nil), buf.Bytes()...)
 			}
-			serialReport, serialSpans := run(1)
-			partReport, partSpans := run(4)
-			if !bytes.Equal(serialReport, partReport) || !bytes.Equal(serialSpans, partSpans) {
-				t.Errorf("rate=%g noRecovery=%v: partitions=4 diverges from serial", rate, noRecovery)
+			report1, spans1 := run()
+			report2, spans2 := run()
+			if !bytes.Equal(report1, report2) || !bytes.Equal(spans1, spans2) {
+				t.Errorf("rate=%g noRecovery=%v: same-seed runs diverge", rate, noRecovery)
 			}
-			if len(serialReport) == 0 {
+			if len(report1) == 0 {
 				t.Fatalf("rate=%g noRecovery=%v: empty report", rate, noRecovery)
 			}
 		}
@@ -256,8 +233,8 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 // produced identical faulted timelines, the byte-compare above would be
 // vacuously green.
 func TestDifferentSeedDiverges(t *testing.T) {
-	a := runOnce(t, 7, 1)
-	b := runOnce(t, 8, 1)
+	a := runOnce(t, 7)
+	b := runOnce(t, 8)
 	if bytes.Equal(a.tsJSON, b.tsJSON) && bytes.Equal(a.report, b.report) {
 		t.Error("seeds 7 and 8 produced identical artifacts; the seed is not reaching the models")
 	}

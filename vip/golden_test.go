@@ -60,7 +60,7 @@ func goldenRuns(t *testing.T) map[string]string {
 		}
 		got[c.key+"/report"] = sum(buf.Bytes())
 	}
-	faulted := runOnce(t, 7, 1)
+	faulted := runOnce(t, 7)
 	got["faulted-traced/report"] = sum(faulted.report)
 	got["faulted-traced/ts-json"] = sum(faulted.tsJSON)
 	got["faulted-traced/spans"] = sum(faulted.spanJSONL)

@@ -37,7 +37,6 @@ import (
 	"github.com/vipsim/vip/internal/core"
 	"github.com/vipsim/vip/internal/fault"
 	"github.com/vipsim/vip/internal/metrics"
-	"github.com/vipsim/vip/internal/partition"
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/internal/telemetry"
@@ -164,19 +163,6 @@ type Scenario struct {
 	// quarantine/reallocation, and graceful chain degradation. Nil runs
 	// are bit-identical to builds without the fault layer.
 	Faults *Faults
-	// Partitions selects the execution engine: 0 or 1 (the default)
-	// runs the serial single-threaded engine; N > 1 runs the same
-	// scenario on the conservative-lookahead partitioned runtime with N
-	// clock domains (internal/partition), with the lookahead derived
-	// from the platform's NoC/DRAM timing floors. This is purely an
-	// execution knob: results are byte-identical for every value, and
-	// the scenario's canonical identity and cache key exclude it. The
-	// SoC model itself is coupled through shared zero-latency substrate
-	// and therefore executes inside a single clock domain (the
-	// coordinator's lone-domain fast path); see ARCHITECTURE.md
-	// "Partitioned execution & conservative lookahead" for the exact
-	// invariant and what a multi-domain model would require.
-	Partitions int
 }
 
 // Faults configures the deterministic fault injector. All rates are
@@ -298,9 +284,6 @@ func (sc Scenario) validate() error {
 	if sc.MetricsInterval < 0 {
 		return fmt.Errorf("vip: MetricsInterval must be non-negative (got %v)", sc.MetricsInterval)
 	}
-	if sc.Partitions < 0 || sc.Partitions > 256 {
-		return fmt.Errorf("vip: Partitions must be 0..256 (got %d)", sc.Partitions)
-	}
 	if f := sc.Faults; f != nil {
 		if err := f.config(1).Validate(); err != nil {
 			return fmt.Errorf("vip: Faults: %w", err)
@@ -399,20 +382,6 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 			opts.Recovery.Enabled = true
 		}
 	}
-	// Partitioned execution: build the coordinator first so the SoC
-	// model constructs onto its domain-0 engine. The model is coupled
-	// (shared DRAM/NoC/CPU/energy state), so it occupies one domain and
-	// rides the coordinator's lone-domain fast path — provably the same
-	// event sequence as the serial engine, hence byte-identical output.
-	if sc.Partitions > 1 {
-		if look := pcfg.Lookahead(); look > 0 {
-			coord := partition.New(sc.Partitions, look)
-			pcfg.Engine = coord.Domain(0).Engine()
-			opts.Driver = coord
-		}
-		// A non-positive lookahead (idealized zero-latency substrate)
-		// admits no conservative window; the run stays serial.
-	}
 	p := platform.New(pcfg)
 	if sc.MetricsInterval > 0 {
 		opts.MetricsInterval = sc.MetricsInterval
@@ -439,47 +408,6 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 	}
 	res.spans = spanRec
 	return res, nil
-}
-
-// DescribePartitionPlan reports how the planner maps a scenario onto
-// clock domains: the flow clusters that could run apart (flows sharing
-// an IP kind must co-locate), the conservative lookahead derived from
-// the platform's timing floors, and why today's model build stays in
-// one domain. The text is operator diagnostics (vipsim prints it to
-// stderr with -partitions); it never appears in a report, whose bytes
-// are identical at every partition count.
-func DescribePartitionPlan(sc Scenario) (string, error) {
-	if err := sc.validate(); err != nil {
-		return "", err
-	}
-	specs, err := sc.expandApps()
-	if err != nil {
-		return "", err
-	}
-	mode, err := sc.System.mode()
-	if err != nil {
-		return "", err
-	}
-	pcfg := platform.DefaultConfig(mode)
-	if sc.IdealMemory {
-		pcfg.DRAM.Ideal = true
-	}
-	var flows []platform.FlowChain
-	for i := range specs {
-		spec := &specs[i]
-		for j := range spec.Flows {
-			f := &spec.Flows[j]
-			flows = append(flows, platform.FlowChain{
-				Name:  fmt.Sprintf("%s[%d]/%s", spec.ID, i, f.Name),
-				Kinds: f.Chain(),
-			})
-		}
-	}
-	n := sc.Partitions
-	if n < 1 {
-		n = 1
-	}
-	return platform.PlanPartitions(pcfg, flows, n).String(), nil
 }
 
 // AppIDs lists the Table 1 application identifiers.
