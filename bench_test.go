@@ -7,7 +7,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -17,7 +16,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/vipsim/vip/internal/experiments"
@@ -88,17 +86,7 @@ func flushBench(b *testing.B) {
 	delete(benchRecords, b.Name())
 	benchMu.Unlock()
 	m := rec.metrics
-	// A parent benchmark that aggregates its sub-benchmarks reports
-	// explicit ns_per_op_<variant> metrics; its own elapsed/N would be
-	// the whole suite's wall time, so skip the automatic per-op costs
-	// then.
-	aggregated := false
-	for unit := range m {
-		if strings.HasPrefix(unit, "ns_per_op_") {
-			aggregated = true
-		}
-	}
-	if b.N > 0 && !aggregated {
+	if b.N > 0 {
 		n := float64(b.N)
 		m["ns_per_op"] = float64(b.Elapsed().Nanoseconds()) / n
 		m["allocs_per_op"] = float64(ms.Mallocs-rec.mallocs) / n
@@ -363,157 +351,6 @@ func BenchmarkSweepParallel(b *testing.B) {
 			_, avg := sw.NormalizedEnergy()
 			report(b, float64(jobs), "jobs")
 			report(b, avg[len(avg)-1], "vip_x")
-		})
-	}
-}
-
-// poolProducers is the producer-count sweep shared by the pool
-// contention benchmarks: uncontended, moderately contended, and the
-// ROADMAP's 16-producer heavy-traffic shape.
-var poolProducers = []int{1, 4, 16}
-
-// spinSink defeats dead-code elimination of spin's loop.
-var spinSink atomic.Uint64
-
-// spin keeps a goroutine busy for roughly n multiply-add steps without
-// sleeping or allocating, so benchmarks can model a short task body.
-func spin(n int) {
-	x := spinSink.Load()
-	for i := 0; i < n; i++ {
-		x = x*1664525 + 1013904223
-	}
-	spinSink.Store(x)
-}
-
-// BenchmarkPoolSubmit measures the EDF pool's submit+dispatch path under
-// 1/4/16 concurrent producers against a small worker set running no-op
-// tasks: every op is one admitted task, and the timer stops only after
-// the pool has quiesced, so ns/op is the full admission-to-dispatch
-// cost, not just the producer-side call. This is the benchmark the
-// lock-free ring refactor is judged by: with the mutex pool every
-// producer and worker serializes on one lock, so ns/op climbs with the
-// producer count instead of staying flat.
-func BenchmarkPoolSubmit(b *testing.B) {
-	measure(b)
-	nsPerOp := map[int]float64{}
-	for _, prod := range poolProducers {
-		prod := prod
-		b.Run(fmt.Sprintf("producers=%d", prod), func(b *testing.B) {
-			p := parallel.NewPool(4, 1<<14)
-			defer p.Close()
-			per := (b.N + prod - 1) / prod
-			var wg sync.WaitGroup
-			measure(b)
-			for c := 0; c < prod; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ctx := context.Background()
-					for i := 0; i < per; i++ {
-						for p.Submit(ctx, int64(i), func(context.Context) {}) != nil {
-							runtime.Gosched()
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			if err := p.Quiesce(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			nsPerOp[prod] = float64(b.Elapsed().Nanoseconds()) / float64(per*prod)
-			report(b, float64(prod), "producers")
-			report(b, float64(p.Dispatched()), "dispatched")
-		})
-	}
-	for _, prod := range poolProducers {
-		if v, ok := nsPerOp[prod]; ok {
-			report(b, v, fmt.Sprintf("ns_per_op_%dp", prod))
-		}
-	}
-}
-
-// BenchmarkPoolDispatch is the end-to-end contention shape: a full
-// worker complement (GOMAXPROCS) executing short non-trivial tasks
-// while 1/4/16 producers submit with descending deadlines, so the
-// deadline-reorder stage is actually exercised (every submission is
-// "more urgent" than the last, the worst case for an EDF queue).
-func BenchmarkPoolDispatch(b *testing.B) {
-	measure(b)
-	nsPerOp := map[int]float64{}
-	for _, prod := range poolProducers {
-		prod := prod
-		b.Run(fmt.Sprintf("producers=%d", prod), func(b *testing.B) {
-			p := parallel.NewPool(runtime.GOMAXPROCS(0), 1<<14)
-			defer p.Close()
-			var executed atomic.Int64
-			task := func(context.Context) {
-				spin(32)
-				executed.Add(1)
-			}
-			per := (b.N + prod - 1) / prod
-			var wg sync.WaitGroup
-			measure(b)
-			for c := 0; c < prod; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ctx := context.Background()
-					for i := 0; i < per; i++ {
-						for p.Submit(ctx, int64(-i), task) != nil {
-							runtime.Gosched()
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			if err := p.Quiesce(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if got := executed.Load(); got != int64(per*prod) {
-				b.Fatalf("executed %d tasks, want %d", got, per*prod)
-			}
-			nsPerOp[prod] = float64(b.Elapsed().Nanoseconds()) / float64(per*prod)
-			report(b, float64(prod), "producers")
-		})
-	}
-	for _, prod := range poolProducers {
-		if v, ok := nsPerOp[prod]; ok {
-			report(b, v, fmt.Sprintf("ns_per_op_%dp", prod))
-		}
-	}
-}
-
-// BenchmarkSweepSteal measures the Do executor's per-index dispatch
-// overhead at 1/4/16 workers over a skewed workload (every 64th index
-// is ~100x heavier), the shape that punishes static partitioning and
-// rewards stealing. ns_per_index is the quantity to compare across
-// worker counts: it should stay near-flat as workers scale.
-func BenchmarkSweepSteal(b *testing.B) {
-	const indices = 4096
-	for _, workers := range poolProducers {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prev := parallel.SetJobs(workers)
-			defer parallel.SetJobs(prev)
-			measure(b)
-			for i := 0; i < b.N; i++ {
-				err := parallel.Do(indices, func(j int) error {
-					if j%64 == 0 {
-						spin(3200)
-					} else {
-						spin(32)
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			report(b, float64(workers), "workers")
-			report(b, float64(b.Elapsed().Nanoseconds())/float64(b.N)/indices, "ns_per_index")
 		})
 	}
 }

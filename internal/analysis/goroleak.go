@@ -13,7 +13,7 @@ package analysis
 //
 // An orphan goroutine in these packages outlives its owner, holds
 // references alive, and keeps running work (and grabbing locks) during
-// shutdown — precisely the class of leak the MPMC pool must not
+// shutdown — precisely the class of leak the dispatch pool must not
 // introduce.
 
 import (

@@ -33,8 +33,7 @@ const (
 	// opSync is (*os.File).Sync — a disk flush.
 	opSync
 	// opSubmit is Pool.Submit — the work-distribution entry point that
-	// takes the pool's own lock (and will spin under the planned MPMC
-	// rebuild).
+	// takes the pool's own lock.
 	opSubmit
 )
 

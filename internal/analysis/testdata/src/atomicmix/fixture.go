@@ -55,11 +55,10 @@ func allowed(c *counter) uint64 {
 	return c.n //viplint:allow atomicmix -- constructor-time read before any goroutine exists
 }
 
-// ringCursor mimics the hand-rolled MPMC ring idiom that predates the
-// typed-atomic rewrite in internal/parallel: cursors advanced by CAS,
-// with a tempting plain-load fast path. The production Ring uses
-// atomic.Uint64 fields precisely so the racy form below cannot be
-// written at all.
+// ringCursor seeds the hand-rolled MPMC ring shape: cursors advanced
+// by CAS on plain uint64 fields, with a tempting plain-load fast path.
+// Typed atomic.Uint64 fields would make the racy form below impossible
+// to write; with plain fields the rule must catch it.
 type ringCursor struct {
 	head uint64
 	tail uint64

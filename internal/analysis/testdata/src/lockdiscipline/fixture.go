@@ -168,9 +168,9 @@ func spawn() {
 	mu.Unlock()
 }
 
-// The work-stealing shapes below mirror internal/parallel's dispatch
-// pool: a thief locks a victim worker's heap, takes the earliest task,
-// and must release before doing anything that can block.
+// The work-stealing shapes below seed a per-worker-heap dispatch pool:
+// a thief locks a victim worker's heap, takes the earliest task, and
+// must release before doing anything that can block.
 
 var (
 	victim sync.Mutex
@@ -195,9 +195,9 @@ func handoffUnderVictimLock(tasks chan int) {
 	victim.Unlock()
 }
 
-// lossyWake is the parked-worker wake idiom from the dispatch pool: a
-// select with a default clause never blocks, so signalling while the
-// victim's lock is held is legal.
+// lossyWake is the parked-worker wake idiom of such a pool: a select
+// with a default clause never blocks, so signalling while the victim's
+// lock is held is legal.
 func lossyWake() {
 	victim.Lock()
 	select {

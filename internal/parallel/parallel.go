@@ -58,171 +58,62 @@ func SetJobs(n int) int {
 	return prev
 }
 
-// panicValue carries a worker panic back to the caller's goroutine.
-type panicValue struct {
-	index int
-	value any
-}
-
-// idxRange is one worker's contiguous slice of the index space, packed
-// lo<<32|hi into a single atomic word so both the owner's front-pop and
-// a thief's back-steal are one CAS. The bounds only ever shrink (lo
-// rises, hi falls), so a stale CAS can never succeed against a recycled
-// value — every index in [0,n) is claimed exactly once. The padding
-// gives each worker's word its own cache line: the common-case pop
-// then contends with nobody.
-type idxRange struct {
-	bounds atomic.Uint64
-	_      [56]byte
-}
-
-func packRange(lo, hi int) uint64 { return uint64(lo)<<32 | uint64(hi) }
-
-// takeFront claims the owner's next index, or reports an empty range.
-func (r *idxRange) takeFront() (int, bool) {
-	for {
-		b := r.bounds.Load()
-		lo, hi := int(b>>32), int(uint32(b))
-		if lo >= hi {
-			return 0, false
-		}
-		if r.bounds.CompareAndSwap(b, packRange(lo+1, hi)) {
-			return lo, true
-		}
-	}
-}
-
-// takeBack claims the victim's last index — thieves work the far end so
-// they interleave with the owner's front pops as little as possible.
-func (r *idxRange) takeBack() (int, bool) {
-	for {
-		b := r.bounds.Load()
-		lo, hi := int(b>>32), int(uint32(b))
-		if lo >= hi {
-			return 0, false
-		}
-		if r.bounds.CompareAndSwap(b, packRange(lo, hi-1)) {
-			return hi - 1, true
-		}
-	}
-}
-
-// splitRanges partitions [0, n) into w contiguous chunks, the static
-// assignment each worker drains before turning thief.
-func splitRanges(n, w int) []idxRange {
-	ranges := make([]idxRange, w)
-	chunk, rem := n/w, n%w
-	lo := 0
-	for k := range ranges {
-		hi := lo + chunk
-		if k < rem {
-			hi++
-		}
-		ranges[k].bounds.Store(packRange(lo, hi))
-		lo = hi
-	}
-	return ranges
-}
-
 // Do runs fn(i) for every index i in [0, n) on up to Jobs() workers and
 // waits for all of them. Every index runs exactly once regardless of
 // failures elsewhere (runs are independent; partial sweeps are useless).
-// The returned error is the one produced by the lowest failing index —
-// the same error a serial `for i := 0; i < n; i++` loop would have
-// surfaced — so fan-out never changes what the caller observes, only
-// how long it takes. If fn panics, Do re-panics in the calling
-// goroutine with the value from the lowest panicking index.
+// Do then surfaces the outcome of the lowest failing index — the same
+// outcome a serial `for i := 0; i < n; i++` loop would have stopped at —
+// so fan-out never changes what the caller observes, only how long it
+// takes: the error that index returned, or, if it panicked, a re-panic
+// in the calling goroutine with its value.
 //
-// With a budget of one worker (or n <= 1) Do degenerates to the plain
-// serial loop on the caller's goroutine.
+// Workers claim indices from one shared counter, and the calling
+// goroutine is one of them, so a budget of one worker runs every index
+// in order on the caller's goroutine.
 func Do(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	w := Jobs()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Work distribution: each worker owns a contiguous chunk and pops
-	// its front — an uncontended CAS on a private cache line — then
-	// steals single indices from the back of whichever peer still has
-	// work. A shared fetch-add counter would put every index claim on
-	// one contended word; here only the tail of the run (when most
-	// workers have gone thief) sees cross-worker traffic.
 	errs := make([]error, n)
-	panics := make([]*panicValue, w)
-	ranges := splitRanges(n, w)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(worker int) {
-			defer wg.Done()
-			run := func(i int) {
-				if p := protect(i, fn, errs); p != nil {
-					if panics[worker] == nil || p.index < panics[worker].index {
-						panics[worker] = p
-					}
-				}
+	panics := make([]any, n)
+	var next atomic.Int64
+	claim := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
 			}
-			for {
-				i, ok := ranges[worker].takeFront()
-				if !ok {
-					break
-				}
-				run(i)
-			}
-			// Own chunk drained: steal from the peers until every
-			// range in the partition is empty.
-			for off := 1; off < w; off++ {
-				victim := &ranges[(worker+off)%w]
-				for {
-					i, ok := victim.takeBack()
-					if !ok {
-						break
-					}
-					run(i)
-				}
-			}
-		}(k)
+			protect(i, fn, errs, panics)
+		}
 	}
+	w := min(Jobs(), n)
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for k := 1; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
 	wg.Wait()
 
-	var firstPanic *panicValue
-	for _, p := range panics {
-		if p != nil && (firstPanic == nil || p.index < firstPanic.index) {
-			firstPanic = p
+	for i := range n {
+		if panics[i] != nil {
+			panic(panics[i])
 		}
-	}
-	if firstPanic != nil {
-		panic(firstPanic.value)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+		if errs[i] != nil {
+			return errs[i]
 		}
 	}
 	return nil
 }
 
-// protect runs fn(i), recording its error and converting a panic into a
-// value the dispatching goroutine can rethrow.
-func protect(i int, fn func(int) error, errs []error) (p *panicValue) {
-	defer func() {
-		if r := recover(); r != nil {
-			p = &panicValue{index: i, value: r}
-		}
-	}()
+// protect runs fn(i), recording its error or the value it panicked with
+// (never nil since Go 1.21) so the caller's goroutine can rethrow it.
+func protect(i int, fn func(int) error, errs []error, panics []any) {
+	defer func() { panics[i] = recover() }()
 	errs[i] = fn(i)
-	return nil
 }
 
 // Map runs fn over every index in [0, n) with Do's scheduling and error

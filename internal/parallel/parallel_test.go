@@ -82,20 +82,24 @@ func TestDoReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestDoErrorDoesNotSkipOtherIndices(t *testing.T) {
-	withJobs(t, 4)
-	var ran atomic.Int32
-	err := Do(32, func(i int) error {
-		ran.Add(1)
-		if i == 0 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if ran.Load() != 32 {
-		t.Errorf("%d indices ran, want all 32 (runs are independent)", ran.Load())
+	for _, jobs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			withJobs(t, jobs)
+			var ran atomic.Int32
+			err := Do(32, func(i int) error {
+				ran.Add(1)
+				if i == 0 {
+					return errors.New("boom")
+				}
+				return nil
+			})
+			if err == nil {
+				t.Fatal("want error")
+			}
+			if ran.Load() != 32 {
+				t.Errorf("%d indices ran, want all 32 (runs are independent)", ran.Load())
+			}
+		})
 	}
 }
 
@@ -116,6 +120,35 @@ func TestDoPanicPropagates(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestDoErrorBeforePanic: the lowest failing index decides the outcome
+// whether it errored or panicked, so an error at index 1 wins over a
+// panic at index 5 at every worker count, as in a serial loop.
+func TestDoErrorBeforePanic(t *testing.T) {
+	for _, jobs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			withJobs(t, jobs)
+			errLow := errors.New("low")
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Do re-panicked with %v, want index 1's error", r)
+				}
+			}()
+			err := Do(8, func(i int) error {
+				switch i {
+				case 1:
+					return errLow
+				case 5:
+					panic("kaboom-5")
+				}
+				return nil
+			})
+			if err != errLow {
+				t.Errorf("Do returned %v, want index 1's error %v", err, errLow)
+			}
+		})
+	}
 }
 
 func TestMapSlotsByIndex(t *testing.T) {

@@ -3,9 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // This file adds the long-lived counterpart to Do/Map: a bounded-queue
@@ -19,17 +17,12 @@ import (
 // seed-deterministic regardless of when or where it starts) and one
 // level up (results are content-addressed, so replays are byte-equal).
 //
-// Dispatch layout: Submit's hot path is lock-free — one atomic
-// admission reservation, one sequence increment, one ring push
-// (ring.go), one lossy wake. Deadline ordering is recovered by a small
-// per-worker reorder stage: each worker drains the ring into a private
-// (deadline, seq) min-heap and dispatches its earliest entry, stealing
-// from a peer's heap when both the ring and its own heap are empty.
-// EDF order is therefore exact whenever a single worker observes the
-// backlog (the uncontended case, and any test that parks one worker),
-// and approximate across workers under contention — matching the
-// paper's hardware scheduler, where each engine picks the earliest
-// deadline among the lane contexts it can see, not a global order.
+// Dispatch layout: one mutex guards one EDF heap that every worker pops
+// from, so a free worker always takes the earliest queued deadline —
+// exact EDF across workers, the choice the paper's hardware scheduler
+// makes when it hands an IP's lane contexts to the earliest deadline.
+// Each task is a whole simulation run, so the lock's hold time (one
+// heap push or pop) is never what a submitter waits on.
 
 // ErrQueueFull is returned by Submit when the admission queue is at
 // capacity. Callers translate it into backpressure (vipserve answers
@@ -52,9 +45,9 @@ type task struct {
 // to virtual-lane contexts, applied here to queued simulation requests
 // so interactive (near-deadline) submissions overtake bulk sweeps. Like
 // internal/sim's event queue it stores tasks in a flat slice with no
-// container/heap interface boxing, so the reorder stage never allocates
-// per task, and pop clears the vacated slot so a dispatched task's
-// closure and context are not pinned by the backing array.
+// container/heap interface boxing, so the queue never allocates per
+// task, and pop clears the vacated slot so a dispatched task's closure
+// and context are not pinned by the backing array.
 type taskHeap struct {
 	ts []task
 }
@@ -104,76 +97,41 @@ func (h *taskHeap) pop() task {
 	return t
 }
 
-// Stats is a single-read snapshot of the pool's counters. Depth and
-// Inflight are taken from one packed atomic word, so outstanding work
-// (Depth+Inflight) can never be torn mid-transition the way separate
-// Depth()/Inflight() reads could.
+// Stats is a snapshot of the pool's counters, taken under the pool's
+// lock. A dispatch moves a task from Depth to Inflight under that same
+// lock, so Depth+Inflight — the outstanding work — is never observed
+// mid-transition.
 type Stats struct {
-	Depth          int    // admitted tasks not yet dispatched (ring + reorder heaps)
+	Depth          int    // admitted tasks not yet dispatched
 	Inflight       int    // tasks currently executing in workers
 	Cap            int    // admission capacity
 	Dispatched     uint64 // tasks handed to workers since construction
 	DeadlineMisses uint64 // tasks dispatched after their EDF deadline passed
 }
 
-// reorderWindow bounds each worker's private EDF heap. Draining the
-// whole ring into the heap would make every pop pay an O(log backlog)
-// sift during overload; a bounded window keeps the reorder stage cheap
-// and constant-cost while the excess backlog waits in the ring in
-// admission order. EDF ordering is exact whenever the backlog a worker
-// observes fits its window (always true for the uncontended case) and
-// windowed-approximate beyond it — the same bounded-context trade the
-// paper's hardware scheduler makes with its fixed lane-context store.
-const reorderWindow = 64
-
-// inflightOne is the packed-state increment for one executing task:
-// the low 32 bits of Pool.state count admitted-undispatched tasks
-// (depth), the high 32 count executing ones (inflight). A dispatch is
-// then a single atomic add of inflightOne-1 — depth down, inflight up
-// in one indivisible transition.
-const inflightOne = uint64(1) << 32
-
-// poolWorker is one worker's reorder stage: a private EDF heap,
-// mutex-guarded only because idle peers steal from it. Submitters
-// never touch it; the owner locks it briefly to drain the ring or pop,
-// so the lock is uncontended except during steals.
-type poolWorker struct {
-	mu sync.Mutex
-	h  taskHeap
-}
-
-// Pool is a fixed set of workers draining a bounded admission ring
-// through per-worker EDF reorder heaps. Construct with NewPool; the
-// zero value is unusable.
+// Pool is a fixed set of workers draining a bounded, EDF-ordered
+// admission queue. Construct with NewPool; the zero value is unusable.
 type Pool struct {
-	ring *Ring[task]
-	cap  int
+	mu   sync.Mutex
+	work *sync.Cond // signalled when a task is queued or the pool closes
+	idle *sync.Cond // broadcast when the queue drains and nothing runs
 
-	seq    atomic.Uint64 // submission order, the EDF tie-break
-	state  atomic.Uint64 // inflight<<32 | depth, see inflightOne
-	closed atomic.Bool
+	q       taskHeap
+	cap     int
+	seq     uint64 // submission order, the EDF tie-break
+	closed  bool
+	running int // tasks currently executing in workers
 
-	dispatched atomic.Uint64
-	misses     atomic.Uint64
+	dispatched uint64
+	misses     uint64
 
 	// clock, when set, reads the caller's deadline ordinal "now" so the
 	// pool can count tasks dispatched after their EDF deadline already
 	// passed. The pool itself never reads a wall clock: the ordinal space
 	// belongs to the submitter (vipserve passes unix-nanos).
-	clock atomic.Pointer[func() int64]
+	clock func() int64
 
-	workers []poolWorker
-	parked  atomic.Int32  // workers currently blocked on wake
-	wake    chan struct{} // lossy worker wakeup, buffered to len(workers)
-	done    chan struct{} // closed by Close; unparks every worker
-	closing sync.Once
-	wg      sync.WaitGroup
-
-	// idleMu/idle serialize only Quiesce waiters and the idle
-	// notification; no dispatch-path operation takes them unless the
-	// pool just became idle.
-	idleMu sync.Mutex
-	idle   *sync.Cond
+	wg sync.WaitGroup
 }
 
 // NewPool starts a pool with the given worker count (<= 0 means the
@@ -185,20 +143,12 @@ func NewPool(workers, queueCap int) *Pool {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	p := &Pool{
-		// The ring is sized to the admission capacity, so a ring push
-		// can only fail if the depth reservation has already bounded
-		// admissions — TryPush failing is a can't-happen backstop.
-		ring:    NewRing[task](queueCap),
-		cap:     queueCap,
-		workers: make([]poolWorker, workers),
-		wake:    make(chan struct{}, workers),
-		done:    make(chan struct{}),
-	}
-	p.idle = sync.NewCond(&p.idleMu)
+	p := &Pool{cap: queueCap}
+	p.work = sync.NewCond(&p.mu)
+	p.idle = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go p.worker(i)
+		go p.worker()
 	}
 	return p
 }
@@ -206,110 +156,57 @@ func NewPool(workers, queueCap int) *Pool {
 // Submit admits fn with an EDF deadline (any monotone ordinal; vipserve
 // uses host unix-nanos). Every admitted task receives exactly one
 // fn(ctx) call from a worker goroutine, in earliest-deadline-first
-// order among the tasks each dispatching worker can observe (exact
-// global EDF when one worker drains the backlog, approximate across
-// concurrent workers). fn must begin by checking ctx.Err(): the
-// context is the submitter's (so a caller that gave up cancels the work
-// it queued), and a pool drained by Close delivers pending tasks a
-// cancelled context instead of silently dropping them.
+// order among queued tasks, ties broken by submission order. fn must
+// begin by checking ctx.Err(): the context is the submitter's (so a
+// caller that gave up cancels the work it queued), and a pool drained
+// by Close delivers pending tasks a cancelled context instead of
+// silently dropping them.
 //
-// Submit never blocks and never locks: a full queue returns
-// ErrQueueFull immediately — that is the load-shedding signal — and a
-// closed pool ErrPoolClosed.
+// Submit never blocks: a full queue returns ErrQueueFull immediately —
+// that is the load-shedding signal — and a closed pool ErrPoolClosed.
 func (p *Pool) Submit(ctx context.Context, deadline int64, fn func(context.Context)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if p.closed.Load() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
 		return ErrPoolClosed
 	}
-	// Reserve a depth slot before pushing: the reservation both bounds
-	// admissions to cap (so the ring can never overflow) and keeps
-	// workers from exiting between a concurrent Close and our push —
-	// they only exit once depth reaches zero.
-	if depth := uint32(p.state.Add(1)); int(depth) > p.cap {
-		p.releaseDepth()
+	if p.q.len() >= p.cap {
 		return ErrQueueFull
 	}
-	if p.closed.Load() {
-		// Close landed between the first check and the reservation; the
-		// task was never pushed, so hand the slot back.
-		p.releaseDepth()
-		return ErrPoolClosed
-	}
-	t := task{deadline: deadline, seq: p.seq.Add(1), ctx: ctx, fn: fn}
-	if !p.ring.TryPush(t) {
-		p.releaseDepth()
-		return ErrQueueFull
-	}
-	// Lossy wake, gated on an actual sleeper: when every worker is busy
-	// the push alone suffices (workers re-scan the ring after each
-	// task), so the hot path skips the channel entirely. A worker that
-	// is about to park re-checks the ring *after* raising the parked
-	// count, so it cannot miss a push that saw parked == 0. If the
-	// buffer is full there are already enough pending wakeups to get
-	// every parked worker to re-scan.
-	if p.parked.Load() > 0 {
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
-	}
+	p.seq++
+	p.q.push(task{deadline: deadline, seq: p.seq, ctx: ctx, fn: fn})
+	p.work.Signal()
 	return nil
 }
 
-// releaseDepth undoes a failed admission reservation, waking Quiesce
-// waiters if the rollback made the pool idle (they may have observed
-// the transient reservation).
-func (p *Pool) releaseDepth() {
-	if p.state.Add(^uint64(0)) == 0 {
-		p.notifyIdle()
-	}
-}
-
-// Stats returns a consistent snapshot of the pool's counters in one
-// call; see the Stats type for the tearing guarantee.
+// Stats returns a snapshot of the pool's counters, taken under the
+// pool's lock; see the Stats type.
 func (p *Pool) Stats() Stats {
-	s := p.state.Load()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return Stats{
-		Depth:          int(uint32(s)),
-		Inflight:       int(s >> 32),
+		Depth:          p.q.len(),
+		Inflight:       p.running,
 		Cap:            p.cap,
-		Dispatched:     p.dispatched.Load(),
-		DeadlineMisses: p.misses.Load(),
+		Dispatched:     p.dispatched,
+		DeadlineMisses: p.misses,
 	}
 }
-
-// Depth reports the number of queued (not yet dispatched) tasks.
-func (p *Pool) Depth() int { return p.Stats().Depth }
 
 // Cap reports the admission-queue capacity.
 func (p *Pool) Cap() int { return p.cap }
-
-// Inflight reports the number of tasks currently executing in workers.
-// For a consistent outstanding-work reading use Stats(), whose
-// Depth+Inflight come from one atomic load.
-func (p *Pool) Inflight() int { return p.Stats().Inflight }
-
-// Dispatched reports how many tasks workers have popped for execution.
-func (p *Pool) Dispatched() uint64 { return p.dispatched.Load() }
-
-// DeadlineMisses reports how many tasks were dispatched after their EDF
-// deadline had already passed — the queue was so backed up that even
-// earliest-deadline-first ordering could not serve them in time. Zero
-// when no clock is installed.
-func (p *Pool) DeadlineMisses() uint64 { return p.misses.Load() }
 
 // SetClock installs the deadline-ordinal clock used to detect late
 // dispatches. It must read the same ordinal space Submit's deadlines use
 // (vipserve: host unix-nanos). A nil clock (the default) disables
 // deadline-miss accounting.
 func (p *Pool) SetClock(fn func() int64) {
-	if fn == nil {
-		p.clock.Store(nil)
-		return
-	}
-	p.clock.Store(&fn)
+	p.mu.Lock()
+	p.clock = fn
+	p.mu.Unlock()
 }
 
 // Quiesce blocks until the pool is idle — admission queue empty and no
@@ -322,32 +219,29 @@ func (p *Pool) Quiesce(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	stop := context.AfterFunc(ctx, p.notifyIdle)
+	stop := context.AfterFunc(ctx, func() {
+		p.mu.Lock()
+		p.idle.Broadcast()
+		p.mu.Unlock()
+	})
 	defer stop()
-	p.idleMu.Lock()
-	defer p.idleMu.Unlock()
-	for p.state.Load() != 0 && ctx.Err() == nil {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for (p.q.len() > 0 || p.running > 0) && ctx.Err() == nil {
 		p.idle.Wait()
 	}
 	return ctx.Err()
 }
 
-// notifyIdle wakes Quiesce waiters. Workers call it only on the
-// transition to a fully idle pool, so the idle lock never sits on the
-// dispatch hot path.
-func (p *Pool) notifyIdle() {
-	p.idleMu.Lock()
-	p.idle.Broadcast()
-	p.idleMu.Unlock()
-}
-
-// Close stops admission and waits for the workers to drain the ring and
-// every reorder heap and exit. Tasks still queued at Close time are
-// dispatched with a cancelled context, so their submitters observe
-// completion (with ctx.Err() set) rather than a silent drop.
+// Close stops admission and waits for the workers to drain the queue
+// and exit. Tasks still queued at Close time are dispatched with a
+// cancelled context, so their submitters observe completion (with
+// ctx.Err() set) rather than a silent drop.
 func (p *Pool) Close() {
-	p.closed.Store(true)
-	p.closing.Do(func() { close(p.done) })
+	p.mu.Lock()
+	p.closed = true
+	p.work.Broadcast()
+	p.mu.Unlock()
 	p.wg.Wait()
 }
 
@@ -359,96 +253,43 @@ var closedCtx = func() context.Context {
 	return ctx
 }()
 
-// worker dispatches earliest-deadline tasks until the pool is closed
-// and fully drained.
-func (p *Pool) worker(self int) {
+// worker pops earliest-deadline tasks until the pool is closed and
+// drained.
+func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
-		t, ok := p.next(self)
-		if !ok {
-			if p.closed.Load() {
-				if uint32(p.state.Load()) == 0 {
-					return // closed and drained: nothing can arrive anymore
-				}
-				// A producer holds an admission reservation but has not
-				// pushed yet; its task is about to appear in the ring.
-				runtime.Gosched()
-				continue
-			}
-			// Park protocol: raise the parked count first, then re-check
-			// the ring. A producer that read parked == 0 and skipped the
-			// wake must have pushed before this re-check (atomic ops are
-			// totally ordered), so the re-check observes its task and we
-			// loop back to next() instead of sleeping through it.
-			p.parked.Add(1)
-			if p.ring.Len() > 0 {
-				p.parked.Add(-1)
-				continue
-			}
-			select {
-			case <-p.wake:
-			case <-p.done:
-			}
-			p.parked.Add(-1)
-			continue
+		p.mu.Lock()
+		for p.q.len() == 0 && !p.closed {
+			p.work.Wait()
 		}
-		ctx := t.ctx
-		if p.closed.Load() {
+		if p.q.len() == 0 {
+			p.mu.Unlock()
+			return // closed and drained: nothing can arrive anymore
+		}
+		t := p.q.pop()
+		p.dispatched++
+		p.running++
+		clock, ctx := p.clock, t.ctx
+		if p.closed {
 			ctx = closedCtx
 		}
+		p.mu.Unlock()
+
+		// The clock is the caller's code, so it runs outside the lock; a
+		// miss is rare (the queue must already be backed up past the
+		// deadline), so it alone pays a second lock round.
+		if clock != nil && t.deadline < clock() {
+			p.mu.Lock()
+			p.misses++
+			p.mu.Unlock()
+		}
 		t.fn(ctx)
-		if p.state.Add(^(inflightOne - 1)) == 0 {
-			p.notifyIdle()
-		}
-	}
-}
 
-// next produces the worker's next task: top the private reorder heap
-// up from the ring, dispatch the heap's earliest entry, and fall back
-// to stealing a peer's earliest when both are empty. The drain stops
-// at reorderWindow so a continuous producer stream can neither trap a
-// worker in the drain loop nor inflate the heap's sift depth.
-func (p *Pool) next(self int) (task, bool) {
-	w := &p.workers[self]
-	w.mu.Lock()
-	for w.h.len() < reorderWindow {
-		t, ok := p.ring.TryPop()
-		if !ok {
-			break
+		p.mu.Lock()
+		p.running--
+		if p.q.len() == 0 && p.running == 0 {
+			p.idle.Broadcast()
 		}
-		w.h.push(t)
-	}
-	if w.h.len() > 0 {
-		t := w.h.pop()
-		w.mu.Unlock()
-		p.noteDispatch(t)
-		return t, true
-	}
-	w.mu.Unlock()
-
-	// Steal scan: no lock is ever held over another's — the own-heap
-	// lock is released above — so steals cannot deadlock, and victims
-	// lose their earliest entry, keeping the stolen work EDF-plausible.
-	for off := 1; off < len(p.workers); off++ {
-		v := &p.workers[(self+off)%len(p.workers)]
-		v.mu.Lock()
-		if v.h.len() > 0 {
-			t := v.h.pop()
-			v.mu.Unlock()
-			p.noteDispatch(t)
-			return t, true
-		}
-		v.mu.Unlock()
-	}
-	return task{}, false
-}
-
-// noteDispatch moves one task from queued to executing in the packed
-// state word and applies the deadline-miss accounting, all on atomics.
-func (p *Pool) noteDispatch(t task) {
-	p.state.Add(inflightOne - 1) // depth-1, inflight+1, indivisibly
-	p.dispatched.Add(1)
-	if c := p.clock.Load(); c != nil && t.deadline < (*c)() {
-		p.misses.Add(1)
+		p.mu.Unlock()
 	}
 }

@@ -10,16 +10,14 @@ import (
 )
 
 // TestPoolStressLifecycle is the concurrent-interleaving check for the
-// lock-free dispatch path: 16 producers hammer Submit with mixed
-// deadlines while Quiesce runs concurrently and Close lands mid-stream,
-// with work stealing active (more workers than producers would ever
-// leave idle). The accounting invariants — run with -race in CI —
-// are:
+// dispatch path: 16 producers hammer Submit with mixed deadlines while
+// 8 workers pop, Quiesce runs concurrently and Close lands mid-stream.
+// The accounting invariants — run with -race in CI — are:
 //
 //   - exactly-once: every task Submit accepted runs exactly once, every
 //     task Submit rejected runs zero times (nothing is both dropped and
 //     executed, nothing is double-dispatched);
-//   - Dispatched() converges to exactly the accepted count;
+//   - Stats().Dispatched converges to exactly the accepted count;
 //   - after Close, the pool is fully idle (Depth and Inflight zero in
 //     one Stats snapshot).
 func TestPoolStressLifecycle(t *testing.T) {
@@ -42,7 +40,7 @@ func TestPoolStressLifecycle(t *testing.T) {
 			ctx := context.Background()
 			for i := 0; i < perProd; i++ {
 				id := c*perProd + i
-				// Mixed deadline ordinals exercise the reorder heaps;
+				// Mixed deadline ordinals exercise the EDF heap;
 				// the value is irrelevant to the accounting.
 				deadline := int64((id * 2654435761) % 1000)
 				err := p.Submit(ctx, deadline, func(context.Context) {
@@ -99,7 +97,7 @@ func TestPoolStressLifecycle(t *testing.T) {
 	if ran != want {
 		t.Errorf("%d executions for %d accepted tasks", ran, want)
 	}
-	if got := p.Dispatched(); got != uint64(want) {
+	if got := p.Stats().Dispatched; got != uint64(want) {
 		t.Errorf("Dispatched = %d, want %d", got, want)
 	}
 	st := p.Stats()
@@ -109,9 +107,9 @@ func TestPoolStressLifecycle(t *testing.T) {
 }
 
 // TestPoolStatsSnapshotUntorn: the motivating race for Stats() — with
-// separate Depth()/Inflight() calls, a reader could observe the
+// separate depth and inflight reads, a reader could observe the
 // dispatch transition halfway (task gone from the queue, not yet
-// counted executing) and see outstanding work vanish. The packed
+// counted executing) and see outstanding work vanish. The locked
 // snapshot must keep Depth+Inflight equal to accepted-minus-completed
 // at every instant.
 func TestPoolStatsSnapshotUntorn(t *testing.T) {

@@ -62,6 +62,67 @@ func TestPoolEDFOrder(t *testing.T) {
 	}
 }
 
+// TestPoolEDFAcrossWorkers: EDF order is global, not per worker. While
+// worker A runs X, worker B, freed next, must take the earliest task
+// still queued (Y), not one submitted after it with a later deadline
+// (Z).
+func TestPoolEDFAcrossWorkers(t *testing.T) {
+	p := NewPool(2, 16)
+	defer p.Close()
+	gateX := make(chan struct{})
+	defer close(gateX) // runs before Close, which waits for X
+
+	// occupy blocks one worker until its gate opens.
+	occupy := func(gate chan struct{}) {
+		t.Helper()
+		started := make(chan struct{})
+		if err := p.Submit(context.Background(), 0, func(context.Context) {
+			close(started)
+			<-gate
+		}); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+	}
+	gateA, gateB := make(chan struct{}), make(chan struct{})
+	occupy(gateA)
+	occupy(gateB)
+
+	var mu sync.Mutex
+	var order []string
+	var ran sync.WaitGroup
+	record := func(name string) func(context.Context) {
+		ran.Add(1)
+		return func(context.Context) {
+			defer ran.Done()
+			mu.Lock()
+			order = append(order, name)
+			mu.Unlock()
+		}
+	}
+	startedX := make(chan struct{})
+	if err := p.Submit(context.Background(), 1, func(context.Context) {
+		close(startedX)
+		<-gateX
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Submit(context.Background(), 10, record("Y")); err != nil {
+		t.Fatal(err)
+	}
+	close(gateA)
+	<-startedX
+	if err := p.Submit(context.Background(), 30, record("Z")); err != nil {
+		t.Fatal(err)
+	}
+	close(gateB)
+	ran.Wait()
+
+	if len(order) != 2 || order[0] != "Y" || order[1] != "Z" {
+		t.Fatalf("order after X = %v, want [Y Z]", order)
+	}
+}
+
 // TestPoolShedsWhenFull: a full admission queue rejects immediately
 // with ErrQueueFull instead of blocking the submitter.
 func TestPoolShedsWhenFull(t *testing.T) {
@@ -80,7 +141,7 @@ func TestPoolShedsWhenFull(t *testing.T) {
 	if err := p.Submit(context.Background(), 2, func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Depth(); got != 2 {
+	if got := p.Stats().Depth; got != 2 {
 		t.Fatalf("Depth = %d, want 2", got)
 	}
 	if err := p.Submit(context.Background(), 3, func(context.Context) {}); err != ErrQueueFull {
@@ -187,10 +248,11 @@ func TestPoolQuiesce(t *testing.T) {
 	if got := done.Load(); got != 6 {
 		t.Errorf("Quiesce returned with %d of 6 tasks complete", got)
 	}
-	if got := p.Inflight(); got != 0 {
-		t.Errorf("Inflight = %d after quiesce, want 0", got)
+	st := p.Stats()
+	if st.Inflight != 0 {
+		t.Errorf("Inflight = %d after quiesce, want 0", st.Inflight)
 	}
-	if got := p.Depth(); got != 0 {
-		t.Errorf("Depth = %d after quiesce, want 0", got)
+	if st.Depth != 0 {
+		t.Errorf("Depth = %d after quiesce, want 0", st.Depth)
 	}
 }

@@ -335,7 +335,7 @@ func TestServeGauges(t *testing.T) {
 	time.Sleep(5 * time.Millisecond) // let the queued job's 1ms deadline lapse
 	close(gate)
 	deadline := time.Now().Add(5 * time.Second)
-	for s.pool.Dispatched() < 2 {
+	for s.pool.Stats().Dispatched < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("queued jobs never dispatched")
 		}
