@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -15,13 +16,14 @@ import (
 	"time"
 )
 
-// This file is the crash-injection harness for the durable job store:
+// This file is the crash-injection harness for vipserve's durability:
 // a real vipserve subprocess is SIGKILLed with accepted jobs still in
-// flight, restarted on the same -store and -cache-dir, and every job it
+// flight, restarted on the same -cache-dir, and every job it
 // acknowledged must come back finished with a report byte-identical to
 // a from-scratch simulation. It is the end-to-end check of the
-// "persisted before acknowledged" contract; the unit-level pieces live
-// in internal/store and internal/serve.
+// "persisted before acknowledged" contract (a pending marker in the
+// cache directory per accepted async job); the unit-level pieces live
+// in internal/cache and internal/serve.
 
 // buildVipserve compiles the binary under test into dir.
 func buildVipserve(t *testing.T, dir string) string {
@@ -136,7 +138,6 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := buildVipserve(t, dir)
-	storeDir := filepath.Join(dir, "store")
 	cacheDir := filepath.Join(dir, "cache")
 
 	scenarios := []string{
@@ -147,7 +148,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 
 	// Life 1: accept the jobs on a single worker (so at most one can be
 	// running when the kill lands), then SIGKILL with no warning.
-	p1 := startVipserve(t, bin, "-store", storeDir, "-cache-dir", cacheDir, "-workers", "1")
+	p1 := startVipserve(t, bin, "-cache-dir", cacheDir, "-workers", "1")
 	ids := make([]string, len(scenarios))
 	for i, sc := range scenarios {
 		status, body := postJSON(t, p1.url("/v1/sim?async=1"), sc)
@@ -169,9 +170,9 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	_ = p1.cmd.Wait()
 
-	// Life 2: same store and cache. Every acknowledged job must surface
+	// Life 2: same cache directory. Every acknowledged job must surface
 	// again and finish; none may be lost.
-	p2 := startVipserve(t, bin, "-store", storeDir, "-cache-dir", cacheDir, "-workers", "1")
+	p2 := startVipserve(t, bin, "-cache-dir", cacheDir, "-workers", "1")
 	defer func() {
 		if p2.cmd.ProcessState == nil {
 			_ = p2.cmd.Process.Kill()
@@ -193,11 +194,10 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		recovered[i] = normalize(t, doc["report"])
 	}
 
-	// Reference: a pristine instance (fresh store and cache) simulating
+	// Reference: a pristine instance (fresh cache directory) simulating
 	// the same scenarios from scratch must produce byte-identical
 	// reports — recovery replayed the simulation, it did not invent data.
-	ref := startVipserve(t, bin,
-		"-store", filepath.Join(dir, "store2"), "-cache-dir", filepath.Join(dir, "cache2"))
+	ref := startVipserve(t, bin, "-cache-dir", filepath.Join(dir, "cache2"))
 	defer func() {
 		_ = ref.cmd.Process.Kill()
 		_ = ref.cmd.Wait()
@@ -216,9 +216,9 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Graceful exit: SIGTERM drains and checkpoints; the process must
-	// leave with status 0, and a third life must replay zero jobs as
-	// interrupted (everything already terminal).
+	// Graceful exit: SIGTERM drains; the process must leave with status
+	// 0, and a third life must find every job done (no marker left to
+	// re-run).
 	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
@@ -234,7 +234,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal("vipserve did not exit after SIGTERM")
 	}
 
-	p3 := startVipserve(t, bin, "-store", storeDir, "-cache-dir", cacheDir)
+	p3 := startVipserve(t, bin, "-cache-dir", cacheDir)
 	defer func() {
 		_ = p3.cmd.Process.Kill()
 		_ = p3.cmd.Wait()
@@ -247,26 +247,45 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStoreOpenFailureIsFatal: pointing -store at an unusable path must
-// refuse to boot (a misconfigured deployment should fail loudly, not
-// run memory-only by surprise).
-func TestStoreOpenFailureIsFatal(t *testing.T) {
+// TestCacheDirFailureIsFatal: the cache directory carries durability,
+// so pointing -cache-dir at an unusable path must refuse to boot (a
+// misconfigured deployment should fail loudly, not refuse every async
+// job at runtime), with exit status 1 and the cache dir named.
+func TestCacheDirFailureIsFatal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test; skipped in -short")
 	}
 	dir := t.TempDir()
 	bin := buildVipserve(t, dir)
-	// A regular file where the store directory should be.
+	// A regular file where the cache directory should be.
 	bad := filepath.Join(dir, "not-a-dir")
 	if err := os.WriteFile(bad, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-store", bad)
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-cache-dir", bad)
 	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("vipserve booted with an unusable -store:\n%s", out)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("vipserve with an unusable -cache-dir: %v, want exit status 1:\n%s", err, out)
 	}
-	if !bytes.Contains(out, []byte("job store")) {
-		t.Errorf("boot failure does not name the job store:\n%s", out)
+	if !bytes.Contains(out, []byte("cache dir")) {
+		t.Errorf("boot failure does not name the cache dir:\n%s", out)
+	}
+}
+
+// TestRemovedFlagsRejected: -store and -max-attempts are not flags;
+// naming one is a usage error (exit status 2), not a silently ignored
+// knob.
+func TestRemovedFlagsRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test; skipped in -short")
+	}
+	bin := buildVipserve(t, t.TempDir())
+	for _, args := range [][]string{{"-store", "x"}, {"-max-attempts", "3"}} {
+		out, err := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("vipserve %v: %v, want exit status 2:\n%s", args, err, out)
+		}
 	}
 }

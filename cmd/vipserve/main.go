@@ -4,19 +4,19 @@
 // re-simulating, identical in-flight submissions coalesce onto one run,
 // and load beyond the admission queue is shed with a retryable 429.
 //
-// With -store DIR the service keeps a durable job store: every accepted
-// job is persisted (WAL + snapshot, fsynced) before it is acknowledged,
-// and a restart replays the store — finished jobs come back queryable,
-// jobs that were interrupted mid-run are re-enqueued and re-simulated to
-// byte-identical results. SIGTERM/SIGINT triggers a graceful drain
-// (admission stops, /ready flips to 503, in-flight jobs finish, the
-// store is checkpointed) bounded by -drain-timeout.
+// A job's id is its scenario hash. With -cache-dir DIR the service is
+// also crash-safe: before an async job is acknowledged, a pending
+// marker holding its request is fsynced beside its result slot in DIR,
+// and a restart re-enqueues every marker whose result is missing, so
+// jobs interrupted mid-run are re-simulated to byte-identical results
+// and finished ones stay queryable from their results. SIGTERM/SIGINT
+// triggers a graceful drain (admission stops, /ready flips to 503,
+// in-flight jobs finish) bounded by -drain-timeout.
 //
 // Usage:
 //
 //	vipserve -addr :8080
 //	vipserve -addr :8080 -cache-dir /var/cache/vip -workers 8 -queue 128
-//	vipserve -addr :8080 -store /var/lib/vip/jobs -cache-dir /var/cache/vip
 //
 // Then:
 //
@@ -35,6 +35,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,10 +52,8 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation workers (0 = CPU count, capped)")
 	queue := flag.Int("queue", 64, "admission queue depth; beyond it requests shed with 429")
 	cacheEntries := flag.Int("cache-entries", 256, "in-memory result cache entries (LRU)")
-	cacheDir := flag.String("cache-dir", "", "optional on-disk result cache directory (persists across restarts)")
-	storeDir := flag.String("store", "", "optional durable job store directory; jobs survive crashes and restarts")
+	cacheDir := flag.String("cache-dir", "", "optional on-disk result cache directory; results and accepted async jobs survive crashes and restarts")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on finishing in-flight jobs during graceful shutdown")
-	maxAttempts := flag.Int("max-attempts", 0, "retry budget for jobs interrupted by crashes (0 = default 5)")
 	syncDeadline := flag.Duration("sync-deadline", 60*time.Second, "default deadline of synchronous requests")
 	bulkDeadline := flag.Duration("bulk-deadline", 15*time.Minute, "EDF deadline horizon of async (bulk) requests")
 	maxJobs := flag.Int("max-jobs", 1024, "retained job records for /v1/jobs")
@@ -82,13 +81,20 @@ func main() {
 		logw = f
 	}
 
+	// The cache directory carries durability (the pending markers of
+	// accepted jobs), so one that cannot be written is a configuration
+	// error: fail fast instead of refusing every async submission later.
+	if *cacheDir != "" {
+		if err := checkDir(*cacheDir); err != nil {
+			fmt.Fprintln(os.Stderr, "vipserve: cache dir:", err)
+			os.Exit(1)
+		}
+	}
 	s := serve.New(serve.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		CacheEntries:   *cacheEntries,
 		CacheDir:       *cacheDir,
-		StoreDir:       *storeDir,
-		MaxAttempts:    *maxAttempts,
 		SyncDeadline:   *syncDeadline,
 		BulkDeadline:   *bulkDeadline,
 		MaxJobs:        *maxJobs,
@@ -96,15 +102,6 @@ func main() {
 		StreamInterval: *streamInterval,
 		EnablePprof:    *enablePprof,
 	})
-	// A store the operator asked for but that cannot open at boot is a
-	// configuration error, not a runtime degradation: fail fast so the
-	// deployment notices, instead of silently running memory-only.
-	if *storeDir != "" {
-		if err := s.StoreOpenErr(); err != nil {
-			fmt.Fprintln(os.Stderr, "vipserve: job store:", err)
-			os.Exit(1)
-		}
-	}
 	bound, err := s.Start(*addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vipserve:", err)
@@ -113,9 +110,6 @@ func main() {
 	fmt.Printf("vipserve listening on %s (queue %d, cache %d entries", bound, *queue, *cacheEntries)
 	if *cacheDir != "" {
 		fmt.Printf(", disk %s", *cacheDir)
-	}
-	if *storeDir != "" {
-		fmt.Printf(", store %s", *storeDir)
 	}
 	fmt.Println(")")
 
@@ -130,4 +124,16 @@ func main() {
 	cancel()
 	fmt.Println("vipserve: shutting down")
 	_ = s.Close()
+}
+
+// checkDir creates dir if needed and proves it writable.
+func checkDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(dir, ".probe-*")
+	if err != nil {
+		return err
+	}
+	return errors.Join(f.Close(), os.Remove(f.Name()))
 }

@@ -120,14 +120,13 @@ func matchSimPackages(pkgPath string) bool {
 }
 
 // concPackages are the long-lived, goroutine- and lock-bearing packages
-// where the flow-sensitive concurrency rules apply: the serving stack
-// and its storage, the worker pool, the disk cache, and the metrics
-// exporter. The engine packages are deliberately excluded — they are
+// where the flow-sensitive concurrency rules apply: the serving stack,
+// the worker pool, the disk cache, and the metrics exporter. The engine packages are deliberately excluded — they are
 // single-threaded by construction and simdeterminism already bans
 // spawning goroutines there.
 var concPackages = []string{
-	"internal/serve", "internal/store", "internal/parallel",
-	"internal/cache", "internal/metrics",
+	"internal/serve", "internal/parallel", "internal/cache",
+	"internal/metrics",
 }
 
 // matchConcPackages scopes a rule to the concurrency-bearing packages.

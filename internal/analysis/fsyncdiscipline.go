@@ -6,9 +6,9 @@ import (
 )
 
 // durablePackages are the packages whose on-disk artifacts carry a
-// crash-safety contract: the job store's WAL/snapshot pair and the
-// content-addressed result cache's envelope files.
-var durablePackages = []string{"internal/store", "internal/cache"}
+// crash-safety contract: the content-addressed result cache's envelope
+// files and the pending markers written beside them.
+var durablePackages = []string{"internal/cache"}
 
 // FsyncDiscipline flags discarded errors from (*os.File).Close and
 // (*os.File).Sync in the durable-storage packages. Those two calls are
@@ -16,14 +16,14 @@ var durablePackages = []string{"internal/store", "internal/cache"}
 // means the data never reached stable storage, and close is the last
 // chance to hear about it. Dropping either error (including via a bare
 // `defer f.Close()`) turns "persisted before acknowledged" into a
-// silent lie — the crash-recovery guarantees of the store and cache
-// rest on every one of these errors being propagated or deliberately,
-// visibly waived with an allow directive.
+// silent lie — the crash-recovery guarantees of the cache and its
+// pending markers rest on every one of these errors being propagated
+// or deliberately, visibly waived with an allow directive.
 var FsyncDiscipline = &Analyzer{
 	Name: "fsyncdiscipline",
-	Doc: "flag discarded (*os.File).Close/Sync errors in internal/store " +
-		"and internal/cache; durability errors surface only there, so they " +
-		"must be handled or explicitly allowed",
+	Doc: "flag discarded (*os.File).Close/Sync errors in internal/cache " +
+		"(results and pending markers); durability errors surface only " +
+		"there, so they must be handled or explicitly allowed",
 	Match: matchDurablePackages,
 	Run:   runFsyncDiscipline,
 }

@@ -1,7 +1,7 @@
 package analysis
 
 // goroleak polices goroutine lifecycles in the long-lived packages
-// (serve, store, parallel, cache, metrics): every `go` statement must
+// (serve, parallel, cache, metrics): every `go` statement must
 // start a body with a registered stop path, i.e. something an owner can
 // trigger to make the goroutine exit — a channel it receives from,
 // selects on or ranges over (close the channel / cancel the context), a

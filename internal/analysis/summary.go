@@ -5,8 +5,8 @@ package analysis
 // at a call to s.appendLocked; only a summary of appendLocked reveals
 // that the call transitively fsyncs a file. Summaries are deliberately
 // intra-package — cross-package flow would need whole-program analysis
-// and the rules' scopes (serve, store, parallel, cache) are
-// self-contained — and deliberately small: a bitset of blocking
+// and the rules' scopes (serve, parallel, cache) are self-contained —
+// and deliberately small: a bitset of blocking
 // operations a function may perform and a bitset of goroutine
 // stop-path signals it contains, closed under the package's static
 // call graph by fixpoint.

@@ -26,7 +26,7 @@ func handles(f *os.File) error {
 	return nil
 }
 
-// joined shows the error-path idiom the store uses: the flush errors
+// joined shows the error-path idiom the cache uses: the flush errors
 // ride out joined onto the primary failure.
 func joined(f *os.File, primary error) error {
 	return errors.Join(primary, f.Sync(), f.Close())

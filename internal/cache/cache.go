@@ -10,6 +10,13 @@
 // simulation. There is consequently no invalidation API, only LRU
 // eviction (memory) and explicit directory removal (disk).
 //
+// Beside each result slot the disk store can hold a pending marker
+// (PutPending, DropPending, Markers): a small record that a key's
+// result was promised but has not landed yet. vipserve writes one
+// before it acknowledges an async job and removes it once the result
+// is on disk, so the cache directory is all it needs to recover
+// accepted jobs after a crash.
+//
 // The cache is safe for concurrent use by the serving layer's
 // goroutines; the simulator itself never touches it (the engine
 // packages stay single-threaded and lock-free).
@@ -19,6 +26,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,7 +70,7 @@ type Stats struct {
 	Misses     uint64 `json:"misses"`    // Get found nothing
 	Puts       uint64 `json:"puts"`      // values stored
 	Evictions  uint64 `json:"evictions"` // LRU entries dropped from memory
-	Corrupt    uint64 `json:"corrupt"`   // disk entries rejected (torn/altered), served as misses
+	Corrupt    uint64 `json:"corrupt"`   // disk entries or markers found torn/altered
 	Entries    int    `json:"entries"`   // current in-memory entries
 	Bytes      int64  `json:"bytes"`     // current in-memory payload bytes
 	MaxEntries int    `json:"max_entries"`
@@ -137,23 +145,24 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 
 // Put stores val under key in memory (evicting LRU entries beyond the
 // budget) and, when the disk store is enabled, persists it with an
-// atomic write-then-rename. Re-putting an existing key refreshes its
-// recency but keeps the first value: content-addressed entries cannot
-// change meaning.
-func (c *Cache) Put(key string, val []byte) {
+// atomic write-then-rename, returning that write's error. Re-putting
+// an existing key refreshes its recency but keeps the first value:
+// content-addressed entries cannot change meaning.
+func (c *Cache) Put(key string, val []byte) error {
 	c.mu.Lock()
 	c.stats.Puts++
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.mu.Unlock()
-		return
+		return nil
 	}
 	c.insert(key, val)
 	c.mu.Unlock()
 
-	if c.dir != "" {
-		c.writeDisk(key, val)
+	if c.dir == "" {
+		return nil
 	}
+	return writeFile(c.path(key), val)
 }
 
 // insert adds a new entry and evicts beyond the budget. Caller holds mu.
@@ -252,48 +261,93 @@ func (c *Cache) readDisk(key string) ([]byte, bool) {
 	return payload, true
 }
 
-// writeDisk persists one entry crash-atomically: the checksummed
+// writeFile persists one entry crash-atomically: the checksummed
 // envelope is written to a temp file, fsynced, renamed into place, and
 // the parent directory fsynced so the rename itself survives a crash.
-// Persistence stays best-effort (a read-only disk degrades the cache to
-// memory-only, it does not fail the simulation that produced the
-// value), but a failure can no longer leave a plausible-looking partial
-// entry behind: an un-fsynced or half-written file fails the envelope
-// check on read.
-func (c *Cache) writeDisk(key string, val []byte) {
-	p := c.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return
+// A failure can never leave a plausible-looking partial entry behind:
+// an un-fsynced or half-written file fails the envelope check on read.
+// For results the error is advisory (a read-only disk degrades the
+// cache to memory-only); a pending marker's caller must not acknowledge
+// without it.
+func writeFile(p string, val []byte) error {
+	dir := filepath.Dir(p)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
-		return
+		return err
 	}
 	name := tmp.Name()
 	_, werr := tmp.Write(envelope(val))
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
+	if err := errors.Join(werr, tmp.Sync(), tmp.Close()); err != nil {
 		_ = os.Remove(name)
-		return
+		return err
 	}
 	if err := os.Rename(name, p); err != nil {
 		_ = os.Remove(name)
-		return
+		return err
 	}
-	c.syncDir(filepath.Dir(p))
-}
-
-// syncDir makes a completed rename durable; errors stay best-effort
-// like the rest of the disk path.
-func (c *Cache) syncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
+}
+
+// pendingSuffix names a pending marker: the file beside a result slot
+// that records an accepted job whose result has not landed yet.
+const pendingSuffix = ".pending"
+
+// PutPending durably writes val as key's pending marker, in the same
+// envelope and with the same atomic write as a result. Without a disk
+// store it is a no-op: nothing outlives the process anyway.
+func (c *Cache) PutPending(key string, val []byte) error {
+	if c.dir == "" {
+		return nil
+	}
+	return writeFile(c.path(key)+pendingSuffix, val)
+}
+
+// DropPending removes key's pending marker, if there is one. It does
+// not fsync the directory: a marker that survives a crash beside its
+// result is dropped when Markers' caller finds the result.
+func (c *Cache) DropPending(key string) {
+	if c.dir == "" {
 		return
 	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil || cerr != nil {
-		return
+	_ = os.Remove(c.path(key) + pendingSuffix)
+}
+
+// Marker is one pending marker read back from disk. Val is nil for a
+// torn or altered marker.
+type Marker struct {
+	Key string
+	Val []byte
+}
+
+// Markers returns every pending marker on disk, ordered by key. A torn
+// or altered marker counts as corrupt and comes back with a nil Val:
+// it stood for an accepted job, so the caller decides what to tell its
+// client before dropping it.
+func (c *Cache) Markers() []Marker {
+	if c.dir == "" {
+		return nil
 	}
+	paths, _ := filepath.Glob(filepath.Join(c.dir, "*", "*"+pendingSuffix)) // the pattern is well-formed
+	var out []Marker
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			continue
+		}
+		val, ok := unenvelope(b)
+		if !ok {
+			c.mu.Lock()
+			c.stats.Corrupt++
+			c.mu.Unlock()
+		}
+		out = append(out, Marker{Key: strings.TrimSuffix(filepath.Base(p), pendingSuffix), Val: val})
+	}
+	return out
 }

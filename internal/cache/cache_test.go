@@ -189,3 +189,51 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		t.Error("nil unenveloped")
 	}
 }
+
+// TestPendingMarkers: markers round-trip beside their result slots in
+// key order, DropPending removes one, a torn marker comes back by key
+// with no payload, and a write that cannot reach the disk reports it —
+// for markers and results alike. Without a directory nothing happens.
+func TestPendingMarkers(t *testing.T) {
+	dir := t.TempDir()
+	c := New(4, dir)
+	for _, k := range []string{"bbkey", "aakey", "ackey"} {
+		if err := c.PutPending(k, []byte("req-"+k)); err != nil {
+			t.Fatalf("PutPending(%s): %v", k, err)
+		}
+	}
+	c.DropPending("ackey")
+	ms := c.Markers()
+	if len(ms) != 2 || ms[0].Key != "aakey" || string(ms[0].Val) != "req-aakey" || ms[1].Key != "bbkey" {
+		t.Fatalf("Markers = %+v, want aakey then bbkey", ms)
+	}
+	if _, ok := c.Get("aakey"); ok {
+		t.Error("a marker reads as a result")
+	}
+
+	p := filepath.Join(dir, "bb", "bbkey"+pendingSuffix)
+	if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ms := c.Markers(); len(ms) != 2 || ms[1].Key != "bbkey" || ms[1].Val != nil {
+		t.Errorf("torn marker = %+v, want bbkey with a nil Val", ms)
+	}
+	if s := c.Stats(); s.Corrupt != 1 {
+		t.Errorf("Corrupt = %d, want 1", s.Corrupt)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "cc"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err) // a file where the cc shard directory belongs
+	}
+	if err := c.PutPending("cckey", []byte("r")); err == nil {
+		t.Error("PutPending into a blocked shard returned no error")
+	}
+	if err := c.Put("cckey", []byte("v")); err == nil {
+		t.Error("Put into a blocked shard returned no error")
+	}
+
+	mem := New(4, "")
+	if err := mem.PutPending("aakey", []byte("r")); err != nil || len(mem.Markers()) != 0 {
+		t.Errorf("memory-only PutPending = %v, Markers = %v; want no-ops", err, mem.Markers())
+	}
+}

@@ -94,6 +94,6 @@ func cachedRun(cfg Config, run func(Config) (*core.Report, error)) (*core.Report
 		// The report is fine; only its cache copy failed. Skip storing.
 		return rep, nil
 	}
-	c.Put(key, raw)
+	_ = c.Put(key, raw) // a failed disk copy only costs a re-run later
 	return rep, nil
 }

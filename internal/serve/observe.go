@@ -95,19 +95,17 @@ func (s *Server) logAccess(rs *telemetry.RequestSpan, start time.Time) {
 
 // handleReady is the admission-readiness probe, distinct from /healthz
 // liveness: a live server answers 503 here when it should stop
-// receiving new submissions — its EDF queue is full, it is draining for
-// shutdown, or the durable store's circuit breaker is open (the server
-// keeps serving what it has, but a load balancer should prefer a
-// replica that can still persist acceptances).
+// receiving new submissions — its EDF queue is full or it is draining
+// for shutdown.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	// One atomic snapshot: depth and inflight are halves of the same
-	// counter word, so the probe can never observe a torn transition
-	// (task gone from the queue, not yet counted executing).
+	// One snapshot under the pool's lock, so the probe can never observe
+	// a torn transition (task gone from the queue, not yet counted
+	// executing).
 	ps := s.pool.Stats()
 	s.mu.Lock()
-	draining, degraded := s.draining, s.storeDegraded
+	draining := s.draining
 	s.mu.Unlock()
-	ready := ps.Depth < ps.Cap && !draining && !degraded
+	ready := ps.Depth < ps.Cap && !draining
 	w.Header().Set("Content-Type", "application/json")
 	if !ready {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -122,9 +120,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		doc["draining"] = true
 	}
-	if degraded {
-		doc["store_degraded"] = true
-	}
 	_ = json.NewEncoder(w).Encode(doc)
 }
 
@@ -134,7 +129,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // broker never blocks, so holding the lock across the publish is safe.
 func (s *Server) publishJobLocked(job *Job, status string) {
 	doc := map[string]any{
-		"id":            job.ID,
+		"id":            job.Hash,
 		"scenario_hash": job.Hash,
 		"status":        status,
 	}

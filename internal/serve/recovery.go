@@ -1,17 +1,17 @@
-// The durability layer: job persistence through the embedded store,
-// boot-time replay and re-enqueue of interrupted jobs (capped
-// exponential backoff, deterministic jitter, bounded attempts), the
-// store circuit breaker that degrades the server to memory-only
-// operation instead of crashing the serving path, and graceful drain.
+// The durability layer: pending markers, boot-time recovery of the
+// jobs they name, and graceful drain.
 //
 // The contract mirrors the paper's QoS story one layer up: the SoC
 // model recovers chained IPs from injected faults without missing frame
 // deadlines; vipserve recovers accepted jobs from process kills without
-// losing them. A job is persisted (and fsynced) before it is
-// acknowledged, every lifecycle transition updates its record, and a
-// restart replays the store: finished jobs are restored for /v1/jobs,
-// interrupted jobs go back through the EDF pool until they finish or
-// exhaust their retry budget with a terminal failure.
+// losing them. A report depends only on the canonical scenario and the
+// engine version, which together are already the result cache's key, so
+// the cache directory holds all that recovery needs. Before an async
+// job is acknowledged, a pending marker carrying its wire request is
+// fsynced beside its result slot; the marker is removed once the result
+// is on disk. At boot every marker without a result goes back through
+// the EDF pool, one more attempt each time, until it finishes or
+// reaches maxAttempts and fails terminally.
 
 package serve
 
@@ -19,9 +19,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -29,35 +27,47 @@ import (
 	"github.com/vipsim/vip/vip"
 )
 
-// jobKeyPrefix namespaces job records inside the store.
-const jobKeyPrefix = "job/"
+// maxAttempts bounds the dispatches a recovered job gets, so a scenario
+// that kills the server every time it runs fails terminally instead of
+// crash-looping.
+const maxAttempts = 5
 
-// storeBreakerThreshold is the consecutive-write-failure count that
-// trips the circuit breaker into memory-only (degraded) mode.
-const storeBreakerThreshold = 3
+// marker is a pending job's on-disk form: the wire request it was
+// accepted as (recovery re-lowers it) and the dispatches it has started.
+// An admission writes attempts 0; each boot that re-enqueues it adds
+// one first.
+type marker struct {
+	Request  SimRequest `json:"request"`
+	Attempts int        `json:"attempts"`
+}
 
-// jobRecord is the persisted form of one job: enough to answer
-// /v1/jobs after a restart and to re-run the scenario if the job was
-// interrupted. Request carries the original wire submission (the form
-// that lowers to a vip.Scenario); Canonical pins the canonical scenario
-// bytes so recovery can verify the request still lowers to the same
-// simulation it was accepted as.
-type jobRecord struct {
-	ID        string          `json:"id"`
-	Seq       uint64          `json:"seq"`
-	Hash      string          `json:"hash"`
-	Status    string          `json:"status"`
-	Cache     string          `json:"cache,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Attempts  int             `json:"attempts,omitempty"`
-	Recovered bool            `json:"recovered,omitempty"`
-	Request   json.RawMessage `json:"request,omitempty"`
-	Canonical string          `json:"canonical,omitempty"`
+// lower decodes a marker and lowers its request, refusing one that no
+// longer lowers to the key it was accepted under: running it would
+// compute some other scenario's report.
+func (m *marker) lower(key string, b []byte) (vip.Scenario, error) {
+	if b == nil {
+		return vip.Scenario{}, fmt.Errorf("pending marker torn or altered on disk")
+	}
+	if err := json.Unmarshal(b, m); err != nil {
+		return vip.Scenario{}, fmt.Errorf("pending marker unreadable: %w", err)
+	}
+	sc, err := m.Request.scenario()
+	if err != nil {
+		return vip.Scenario{}, fmt.Errorf("stored request no longer lowers to a scenario: %w", err)
+	}
+	hash, err := sc.Hash()
+	if err != nil {
+		return vip.Scenario{}, fmt.Errorf("stored request no longer hashes: %w", err)
+	}
+	if got := cache.Key(hash, vip.EngineVersion); got != key {
+		return vip.Scenario{}, fmt.Errorf(
+			"stored request lowers to %s, accepted as %s; refusing to run the wrong simulation", got, key)
+	}
+	return sc, nil
 }
 
 // warn writes one structured JSON warning line to the configured warn
-// log (default stderr). It never fails the caller: warnings are the
-// degraded path's signal, not another way to crash it.
+// log (default stderr). It never fails the caller.
 func (s *Server) warn(event string, fields map[string]any) {
 	w := s.cfg.WarnLog
 	if w == nil {
@@ -81,286 +91,115 @@ func (s *Server) warn(event string, fields map[string]any) {
 	s.accessMu.Unlock()
 }
 
-// persistJob writes the job's current state to the store. It must be
-// called before the state is acknowledged to a client (202 for
-// acceptance, job document for completion). With no store, or with the
-// breaker open, it is a no-op — the server keeps serving memory-only.
-func (s *Server) persistJob(job *Job) {
-	if s.store == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.storeDegraded {
-		s.mu.Unlock()
-		return
-	}
-	rec := jobRecord{
-		ID:        job.ID,
-		Seq:       job.seq,
-		Hash:      job.Hash,
-		Status:    jobStatus(job),
-		Cache:     job.Cache,
-		Error:     job.Error,
-		Attempts:  job.Attempts,
-		Recovered: job.Recovered,
-		Request:   json.RawMessage(job.reqJSON),
-		Canonical: string(job.canon),
-	}
-	s.mu.Unlock()
-	b, err := json.Marshal(rec)
+// writeMarker durably writes key's pending marker.
+func (s *Server) writeMarker(key string, m marker) error {
+	b, err := json.Marshal(m)
 	if err != nil {
-		return
+		return err
 	}
-	if err := s.store.Put(jobKeyPrefix+rec.ID, b); err != nil {
-		s.storeWriteFailed(err)
-		return
+	if err := s.cache.PutPending(key, b); err != nil {
+		return err
 	}
 	s.mu.Lock()
-	s.storeErrs = 0
-	s.storeWrites++
+	s.markerWrites++
 	s.mu.Unlock()
+	return nil
 }
 
-// dropJobRecord removes a pruned job from the store (best-effort: a
-// failed delete only means a stale finished record replays next boot).
-func (s *Server) dropJobRecord(id string) {
-	if s.store == nil {
-		return
-	}
-	s.mu.Lock()
-	degraded := s.storeDegraded
-	s.mu.Unlock()
-	if degraded {
-		return
-	}
-	if err := s.store.Delete(jobKeyPrefix + id); err != nil {
-		s.storeWriteFailed(err)
-		return
-	}
-	s.mu.Lock()
-	s.storeErrs = 0
-	s.storeWrites++
-	s.mu.Unlock()
-}
-
-// storeWriteFailed counts one store I/O failure and trips the circuit
-// breaker after storeBreakerThreshold consecutive ones: the server
-// flips to memory-only mode (gauge vip_serve_store_degraded, /ready
-// 503) and keeps serving instead of crashing.
-func (s *Server) storeWriteFailed(err error) {
-	s.mu.Lock()
-	s.storeErrs++
-	n := s.storeErrs
-	trip := n >= storeBreakerThreshold && !s.storeDegraded
-	if trip {
-		s.storeDegraded = true
-	}
-	s.mu.Unlock()
-	if trip {
-		s.warn("store_degraded", map[string]any{
-			"error":              err.Error(),
-			"consecutive_errors": n,
-			"action":             "circuit breaker open: job persistence disabled, serving continues memory-only",
-		})
-		return
-	}
-	s.warn("store_write_failed", map[string]any{
-		"error":              err.Error(),
-		"consecutive_errors": n,
-	})
-}
-
-// recoverJobs replays the job store on boot: finished jobs come back as
-// queryable records (reports re-attached from the result cache),
-// interrupted jobs re-enter the EDF pool. Called from New before the
-// server starts accepting traffic; it takes s.mu only per-job, so no
-// lock ordering with the store's own lock is at stake.
-func (s *Server) recoverJobs() {
-	if s.store == nil {
-		return
-	}
-	var interrupted []*Job
-	var maxSeq uint64
-	var restored, finished uint64
-	_ = s.store.ForEach(func(k string, v []byte) error {
-		if !strings.HasPrefix(k, jobKeyPrefix) {
-			return nil
+// recoverPending runs once, from New, before the server can admit
+// anything. For each pending marker in the cache directory:
+//   - a marker whose result exists is dropped: the job finished, and
+//     GET /v1/jobs reads the result;
+//   - a marker whose request no longer lowers to its key fails
+//     terminally without running;
+//   - a marker at maxAttempts fails terminally;
+//   - every other marker is rewritten with one more attempt and its job
+//     re-enqueued through the EDF pool.
+//
+// Terminal failures are held in memory only, and their markers removed.
+func (s *Server) recoverPending() {
+	markers := s.cache.Markers()
+	var requeued, failed int
+	for _, m := range markers {
+		if _, ok := s.cache.Get(m.Key); ok {
+			s.cache.DropPending(m.Key)
+			continue
 		}
-		var rec jobRecord
-		if err := json.Unmarshal(v, &rec); err != nil {
-			// An unreadable record must not crash-loop the boot path;
-			// drop it and say so.
-			s.warn("store_record_unreadable", map[string]any{"key": k, "error": err.Error()})
-			return nil
+		var mk marker
+		sc, err := mk.lower(m.Key, m.Val)
+		if err == nil && mk.Attempts >= maxAttempts {
+			err = fmt.Errorf("interrupted %d times; retry budget exhausted", mk.Attempts)
 		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
+		hash, _, _ := strings.Cut(m.Key, "@")
+		s.mu.Lock()
+		job := s.newJobLocked(hash)
+		job.Recovered = true
+		job.Attempts = mk.Attempts
+		s.mu.Unlock()
+		if err != nil {
+			s.cache.DropPending(m.Key)
+			s.completeJob(job, nil, "", err)
+			failed++
+			continue
 		}
-		job := &Job{
-			ID:        rec.ID,
-			Hash:      rec.Hash,
-			Status:    rec.Status,
-			Cache:     rec.Cache,
-			Error:     rec.Error,
-			Attempts:  rec.Attempts,
-			Recovered: true,
-			seq:       rec.Seq,
-			reqJSON:   []byte(rec.Request),
-			canon:     []byte(rec.Canonical),
-			done:      make(chan struct{}),
-			created:   now(),
-		}
-		switch rec.Status {
-		case StatusDone, StatusFailed:
-			if rec.Status == StatusDone {
-				if body, ok := s.cache.Get(cache.Key(rec.Hash, vip.EngineVersion)); ok {
-					job.report = body
-				}
-			}
-			job.completing = true
-			close(job.done)
-			finished++
-		default:
-			// queued or running when the process died: interrupted.
-			job.Status = StatusQueued
-			interrupted = append(interrupted, job)
+		// The attempt is counted on disk before the run starts, so a job
+		// that kills the server every time converges to a terminal
+		// failure. Should the rewrite fail, the job still runs: its
+		// marker, with the older count, keeps it durable.
+		mk.Attempts++
+		if err := s.writeMarker(m.Key, mk); err != nil {
+			s.warn("marker_write_failed", map[string]any{"scenario_hash": hash, "error": err.Error()})
 		}
 		s.mu.Lock()
-		s.jobs[job.ID] = job
+		job.Attempts = mk.Attempts
+		s.backlog = append(s.backlog, func(ctx context.Context) { s.runJob(ctx, job, m.Key, sc) })
 		s.mu.Unlock()
-		restored++
-		return nil
-	})
+		requeued++
+	}
 	s.mu.Lock()
-	if maxSeq > s.seq {
-		s.seq = maxSeq // restored IDs stay unique against new admissions
-	}
-	s.replayedJobs = restored
-	// Rebuild the pruning order oldest-first by sequence number.
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	jobs := s.jobs
-	sort.Slice(ids, func(i, j int) bool { return jobs[ids[i]].seq < jobs[ids[j]].seq })
-	s.order = ids
+	s.replayedJobs = uint64(len(markers))
+	s.retries = uint64(requeued)
 	s.mu.Unlock()
-
-	if restored > 0 {
+	if len(markers) > 0 {
 		s.warn("jobs_recovered", map[string]any{
-			"restored":    restored,
-			"finished":    finished,
-			"interrupted": len(interrupted),
+			"markers":  len(markers),
+			"finished": len(markers) - requeued - failed,
+			"requeued": requeued,
+			"failed":   failed,
 		})
 	}
-	for _, job := range interrupted {
-		s.requeue(job)
-	}
+	s.feedBacklog()
 }
 
-// requeue schedules one interrupted job back through the EDF pool after
-// a capped exponential backoff with deterministic jitter. The attempt
-// is counted durably first, so a job that kills the server every time
-// it runs converges to a terminal failure instead of an infinite
-// crash-retry loop.
-func (s *Server) requeue(job *Job) {
-	s.mu.Lock()
-	job.Attempts++
-	attempts := job.Attempts
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		// Leave the job queued in the store: the next boot recovers it.
-		return
-	}
-	if attempts > s.cfg.MaxAttempts {
-		s.completeJob(job, nil, "", fmt.Errorf(
-			"interrupted %d times; retry budget exhausted", attempts-1))
-		return
-	}
-	s.persistJob(job)
-
-	var req SimRequest
-	if err := json.Unmarshal(job.reqJSON, &req); err != nil {
-		s.completeJob(job, nil, "", fmt.Errorf("stored request unreadable: %w", err))
-		return
-	}
-	sc, err := req.scenario()
-	if err != nil {
-		s.completeJob(job, nil, "", fmt.Errorf("stored request no longer lowers to a scenario: %w", err))
-		return
-	}
-	hash, err := sc.Hash()
-	if err != nil {
-		s.completeJob(job, nil, "", fmt.Errorf("stored request no longer hashes: %w", err))
-		return
-	}
-	if hash != job.Hash {
-		s.completeJob(job, nil, "", fmt.Errorf(
-			"stored request lowers to scenario %s, accepted as %s; refusing to run the wrong simulation", hash, job.Hash))
-		return
-	}
-	key := cache.Key(job.Hash, vip.EngineVersion)
-
-	s.mu.Lock()
-	s.retries++
-	s.mu.Unlock()
-	delay := retryDelay(attempts, job.ID, s.cfg.RetryBase, s.cfg.RetryCap)
-	// Host-side backoff timer for the serving layer, not simulated time.
-	time.AfterFunc(delay, func() { //viplint:allow simdeterminism -- host service retry backoff, never simulated state
+// feedBacklog moves recovered runs into the pool while its queue has
+// room. A full queue costs no attempt: the run stays in the backlog,
+// and every finished run (runJob defers this) tries again, so the
+// backlog drains as fast as the pool does. Draining stops the feed;
+// the markers bring the rest back at the next boot.
+func (s *Server) feedBacklog() {
+	for {
 		s.mu.Lock()
-		if s.draining {
+		if len(s.backlog) == 0 || s.draining {
 			s.mu.Unlock()
 			return
 		}
-		if s.inflight[key] == nil {
-			s.inflight[key] = job
-		}
+		run := s.backlog[0]
+		s.backlog = s.backlog[1:]
 		s.mu.Unlock()
-		edf := now().Add(s.cfg.BulkDeadline).UnixNano()
-		err := s.pool.Submit(context.Background(), edf, func(ctx context.Context) { s.runJob(ctx, job, key, sc) })
-		if err != nil {
+		if err := s.pool.Submit(context.Background(), now().Add(s.cfg.BulkDeadline).UnixNano(), run); err != nil {
 			s.mu.Lock()
-			if s.inflight[key] == job {
-				delete(s.inflight, key)
-			}
+			s.backlog = append([]func(context.Context){run}, s.backlog...)
 			s.mu.Unlock()
-			// Queue full (or closing): go around again through the same
-			// bounded, attempt-counted path.
-			s.requeue(job)
+			return
 		}
-	})
-}
-
-// retryDelay is capped exponential backoff plus deterministic jitter:
-// base·2^(attempt-1) clamped to cap, plus a [0, base) offset derived
-// from the job ID, so a thundering herd of recovered jobs spreads out
-// without the serving layer needing a random source.
-func retryDelay(attempt int, id string, base, cap time.Duration) time.Duration {
-	if base <= 0 {
-		base = time.Second
 	}
-	if cap < base {
-		cap = base
-	}
-	d := base
-	for i := 1; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(id))
-	return d + time.Duration(h.Sum64()%uint64(base))
 }
 
 // Drain is the graceful half of shutdown: stop admitting (new
 // submissions answer 503 and /ready reports not-ready so load
-// balancers route away), let queued and running jobs finish within
-// ctx's budget, then checkpoint and close the store so the next boot
-// starts from a snapshot instead of a replay. The listener stays up for
-// status polling; call Close afterwards to tear it down.
+// balancers route away) and let queued and running jobs finish within
+// ctx's budget. The listener stays up for status polling; call Close
+// afterwards.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	alreadyDraining := s.draining
@@ -369,24 +208,5 @@ func (s *Server) Drain(ctx context.Context) error {
 	if alreadyDraining {
 		return nil
 	}
-	err := s.pool.Quiesce(ctx)
-	if s.store != nil {
-		s.mu.Lock()
-		degraded := s.storeDegraded
-		s.mu.Unlock()
-		if !degraded {
-			if cerr := s.store.Compact(); cerr != nil {
-				s.warn("store_checkpoint_failed", map[string]any{"error": cerr.Error()})
-			}
-		}
-		if cerr := s.store.Close(); cerr != nil {
-			s.warn("store_close_failed", map[string]any{"error": cerr.Error()})
-		}
-	}
-	return err
+	return s.pool.Quiesce(ctx)
 }
-
-// StoreOpenErr reports the boot-time store open failure, if any. The
-// server keeps serving memory-only in that case (degraded from the
-// start); the CLI chooses to treat a misconfigured -store as fatal.
-func (s *Server) StoreOpenErr() error { return s.storeOpenErr }

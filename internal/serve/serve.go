@@ -14,6 +14,13 @@
 // Load beyond the queue bound is shed immediately with a retryable 429
 // — the service's flow-control credit, never a blocked accept loop.
 //
+// A job is named by its scenario hash, so every submission of one
+// scenario gets the same job id and a live job under a hash is that
+// scenario's in-flight run. With a cache directory, an async
+// acknowledgment is made durable by a pending marker beside the
+// result slot (see recovery.go); the cache directory is the only
+// thing the service persists.
+//
 // Endpoints: POST /v1/sim (sync, or ?async=1 returning a job id),
 // GET /v1/jobs/{id}, GET /v1/sim/stream (SSE: job lifecycle events and
 // periodic service snapshots), GET /v1/cache/stats, GET /ready
@@ -53,7 +60,6 @@ import (
 	"github.com/vipsim/vip/internal/metrics"
 	"github.com/vipsim/vip/internal/parallel"
 	"github.com/vipsim/vip/internal/stats"
-	"github.com/vipsim/vip/internal/store"
 	"github.com/vipsim/vip/vip"
 )
 
@@ -71,7 +77,10 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the in-memory result LRU (default 256).
 	CacheEntries int
-	// CacheDir, when set, persists results content-addressed on disk.
+	// CacheDir, when set, persists results content-addressed on disk,
+	// together with the pending markers that let accepted async jobs
+	// survive a crash: New re-enqueues every marker whose result is
+	// missing.
 	CacheDir string
 	// SyncDeadline is the default wait budget and EDF deadline of a
 	// synchronous request (default 60s). Requests may tighten it with
@@ -102,22 +111,9 @@ type Config struct {
 	// production escape hatch for profiling a live service. Off by
 	// default: the profiles expose internals.
 	EnablePprof bool
-	// StoreDir, when set, enables the durable job store: every job
-	// lifecycle transition is persisted (length-prefixed, checksummed,
-	// fsynced WAL — see internal/store) before it is acknowledged, and
-	// boot replays the store, restoring finished jobs and re-enqueueing
-	// interrupted ones. Empty keeps today's memory-only job table.
-	StoreDir string
-	// RetryBase and RetryCap bound the exponential backoff applied when
-	// re-enqueueing interrupted jobs after a restart (defaults 1s and
-	// 1m); MaxAttempts bounds the total dispatch attempts per job
-	// (default 5) before it fails terminally instead of retrying
-	// forever through a crash loop.
-	RetryBase   time.Duration
-	RetryCap    time.Duration
-	MaxAttempts int
 	// WarnLog receives one structured JSON line per durability warning
-	// (store degradation, recovery summary). Defaults to os.Stderr.
+	// (a failed marker write, the recovery summary). Defaults to
+	// os.Stderr.
 	WarnLog io.Writer
 }
 
@@ -146,15 +142,6 @@ func (c Config) withDefaults() Config {
 	if c.StreamInterval == 0 {
 		c.StreamInterval = time.Second
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = time.Second
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = time.Minute
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
 	return c
 }
 
@@ -180,9 +167,9 @@ const (
 	StatusFailed  = "failed"
 )
 
-// Job is one submission's record.
+// Job is one scenario's record, named by its hash (the job id). Its
+// fields are guarded by Server.mu.
 type Job struct {
-	ID     string `json:"id"`
 	Hash   string `json:"scenario_hash"`
 	Status string `json:"status"`
 	// Cache reports how the result was obtained: "hit" (served from
@@ -190,27 +177,23 @@ type Job struct {
 	// identical in-flight run).
 	Cache string `json:"cache,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Attempts counts recovery re-dispatches (zero on the normal path);
-	// Recovered marks a job restored or re-run from the durable store
-	// after a restart.
+	// Attempts counts the dispatches a recovered job has started,
+	// this one included (zero on the normal path); Recovered marks a
+	// record rebuilt from the cache directory after a restart.
 	Attempts  int  `json:"attempts,omitempty"`
 	Recovered bool `json:"recovered,omitempty"`
 
-	report     []byte
-	reqJSON    []byte // original wire submission, for recovery re-lowering
-	canon      []byte // canonical scenario bytes pinned at acceptance
-	seq        uint64
-	completing bool // set by the (single) finalizer before done closes
-	done       chan struct{}
-	// durable, when non-nil, closes once the admitting request has
-	// persisted the job record; a request that coalesces onto the job
-	// waits for it before answering, so no client learns of a job a
-	// crash could still lose. Nil for jobs that never coalesce (cache
-	// hits) and for jobs replayed from the store.
-	durable chan struct{}
+	report  []byte
+	done    chan struct{} // closed when the job leaves queued/running
 	created time.Time
 	started time.Time // first worker dispatch (zero for cache fast path)
 	ended   time.Time // completion, whatever the outcome
+}
+
+// live reports whether the job is still queued or running; the caller
+// holds Server.mu.
+func (j *Job) live() bool {
+	return j.Status == StatusQueued || j.Status == StatusRunning
 }
 
 // SimRequest is the wire form of a scenario submission. Every knob is
@@ -274,26 +257,16 @@ type Server struct {
 	pool  *parallel.Pool
 	hs    *metrics.HTTPServer
 
-	// store is the durable job store (nil without Config.StoreDir);
-	// storeOpenErr records a boot-time open failure (the server then
-	// runs degraded from the start).
-	store        *store.Store
-	storeOpenErr error
+	mu     sync.Mutex
+	jobs   map[string]*Job // by scenario hash
+	order  []*Job          // registered records, oldest first, for pruning
+	reqSeq uint64
+	depth  stats.Sample // queue depth observed at each admission
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string // job ids, oldest first, for pruning
-	inflight map[string]*Job
-	seq      uint64
-	reqSeq   uint64
-	depth    stats.Sample // queue depth observed at each admission
-
-	// Durability state (guarded by mu). draining rejects new
-	// submissions; storeDegraded is the open circuit breaker
-	// (consecutive store I/O failures → memory-only mode).
-	draining      bool
-	storeDegraded bool
-	storeErrs     int // consecutive store write failures
+	// draining rejects new submissions; backlog holds recovered runs
+	// waiting for room in the admission queue (guarded by mu).
+	draining bool
+	backlog  []func(context.Context)
 
 	// Serve counters (guarded by mu; rendered at /metrics scrape).
 	shed         uint64
@@ -303,9 +276,9 @@ type Server struct {
 	asyncReqs    uint64
 	failures     uint64
 	timeouts     uint64 // sync waits that hit their deadline (504)
-	storeWrites  uint64 // job records durably written
-	replayedJobs uint64 // job records restored at boot
-	retries      uint64 // recovery re-enqueues scheduled
+	markerWrites uint64 // pending markers durably written
+	replayedJobs uint64 // pending markers found at boot
+	retries      uint64 // recovered jobs re-enqueued at boot
 
 	accessMu sync.Mutex // serializes AccessLog writes
 
@@ -313,39 +286,24 @@ type Server struct {
 	ln  net.Listener
 }
 
-// New builds a server and starts its worker pool. With Config.StoreDir
-// set it also opens the durable job store and replays it — restoring
-// finished job records and re-enqueueing interrupted jobs — before any
-// request can be admitted. A store that fails to open leaves the server
-// serving memory-only with the breaker open (see StoreOpenErr).
+// New builds a server and starts its worker pool. With Config.CacheDir
+// set it first scans the pending markers there and re-enqueues the
+// accepted jobs a previous process did not finish (see recoverPending).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		cache:    cache.New(cfg.CacheEntries, cfg.CacheDir),
-		pool:     parallel.NewPool(cfg.Workers, cfg.QueueDepth),
-		hs:       metrics.NewHTTPServer(),
-		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*Job),
+		cfg:   cfg,
+		cache: cache.New(cfg.CacheEntries, cfg.CacheDir),
+		pool:  parallel.NewPool(cfg.Workers, cfg.QueueDepth),
+		hs:    metrics.NewHTTPServer(),
+		jobs:  make(map[string]*Job),
 	}
 	// The pool's EDF deadlines are host unix-nanos (see handleSim); give
 	// it the matching clock so late dispatches are counted.
 	s.pool.SetClock(func() int64 { return now().UnixNano() })
 	s.hs.OnScrape(s.promInstruments)
-	if cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir, store.Options{})
-		if err != nil {
-			s.storeOpenErr = err
-			s.storeDegraded = true
-			s.warn("store_open_failed", map[string]any{
-				"dir":    cfg.StoreDir,
-				"error":  err.Error(),
-				"action": "serving memory-only; accepted jobs will not survive a restart",
-			})
-		} else {
-			s.store = st
-			s.recoverJobs()
-		}
+	if cfg.CacheDir != "" {
+		s.recoverPending()
 	}
 	return s
 }
@@ -380,21 +338,16 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener (if started), drains the worker pool and
-// releases the job store. For a graceful shutdown call Drain first;
-// Close alone delivers still-queued tasks a cancelled context (their
-// terminal failed state is persisted) and then closes the store.
+// Close stops the listener (if started) and drains the worker pool.
+// For a graceful shutdown call Drain first; Close alone delivers
+// still-queued tasks a cancelled context, which fails them in memory
+// but leaves their pending markers for the next boot.
 func (s *Server) Close() error {
 	var err error
 	if s.srv != nil {
 		err = s.srv.Close()
 	}
 	s.pool.Close()
-	if s.store != nil {
-		if cerr := s.store.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	return err
 }
 
@@ -454,21 +407,6 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	async := r.URL.Query().Get("async") != ""
 	key := cache.Key(hash, vip.EngineVersion)
 
-	// With the durable store enabled, pin what was accepted: the wire
-	// request (recovery re-lowers it) and the canonical scenario bytes
-	// (recovery verifies the re-lowering). Both ride on the job record.
-	var reqJSON, canon []byte
-	if s.store != nil {
-		if reqJSON, err = json.Marshal(req); err != nil {
-			httpError(w, http.StatusBadRequest, "re-encoding request: %v", err)
-			return
-		}
-		if canon, err = sc.Canonical(); err != nil {
-			httpError(w, http.StatusBadRequest, "canonicalizing scenario: %v", err)
-			return
-		}
-	}
-
 	deadline := s.cfg.SyncDeadline
 	if async {
 		deadline = s.cfg.BulkDeadline
@@ -492,49 +430,51 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	cacheStart := now()
 	if body, ok := s.cache.Get(key); ok {
 		rs.AddStage("cache", now().Sub(cacheStart).Nanoseconds())
-		job := s.newJob(hash, reqJSON, canon)
-		s.completeJob(job, body, "hit", nil)
-		s.respond(w, r, job, async, body, "hit")
+		s.respond(w, r, s.hitJob(hash, body), async, body, "hit")
 		return
 	}
 	rs.AddStage("cache", now().Sub(cacheStart).Nanoseconds())
 
-	// Coalesce onto an identical in-flight run, or admit a new one. The
-	// check and the registration are one critical section, so two
-	// misses on one key cannot both run the engine.
+	// A 202 is a promise that survives a crash, so an async miss puts its
+	// pending marker on disk first — before anything is registered, so a
+	// failed write leaves nothing behind. Sync requests write nothing:
+	// they are never acknowledged before their result arrives.
+	if async && s.cfg.CacheDir != "" {
+		if err := s.writeMarker(key, marker{Request: req}); err != nil {
+			s.warn("marker_write_failed", map[string]any{"scenario_hash": hash, "error": err.Error()})
+			w.Header().Set("Retry-After", "1")
+			httpError(w, http.StatusServiceUnavailable, "cannot persist the job: %v", err)
+			return
+		}
+	}
+
+	// Coalesce onto the live job under this hash, or admit a new one. The
+	// check and the registration are one critical section, so two misses
+	// on one key cannot both run the engine.
 	s.mu.Lock()
-	job, joined := s.inflight[key]
-	var pruned []string
+	job := s.jobs[hash]
+	joined := job != nil && job.live()
 	if joined {
 		s.coalesced++
 	} else {
-		job, pruned = s.newJobLocked(hash, reqJSON, canon)
-		job.durable = make(chan struct{})
-		s.inflight[key] = job
+		job = s.newJobLocked(hash)
+		s.publishJobLocked(job, StatusQueued)
 	}
 	s.mu.Unlock()
-	if joined {
-		if job.durable != nil {
-			<-job.durable
-		}
-	} else {
-		s.dropJobRecords(pruned)
-		// Durability barrier: the accepted job is on disk before it is
-		// queued or acknowledged, so a crash from here on cannot lose it.
-		// The fsync runs outside s.mu; coalescers wait on job.durable.
-		s.persistJob(job)
-		close(job.durable)
-		edf := now().Add(deadline).UnixNano()
+	if !joined {
 		// The job is deliberately detached from the request context: the
 		// result is content-addressed and future-useful even if this
 		// client gives up, and coalesced waiters may still want it. Only
 		// pool shutdown cancels a queued job.
+		edf := now().Add(deadline).UnixNano()
 		err := s.pool.Submit(context.Background(), edf, func(ctx context.Context) { s.runJob(ctx, job, key, sc) })
 		if err != nil {
 			s.mu.Lock()
 			s.shed++
-			delete(s.inflight, key)
 			s.mu.Unlock()
+			if async {
+				s.cache.DropPending(key) // not accepted: no promise to keep
+			}
 			s.completeJob(job, nil, "", fmt.Errorf("admission queue full"))
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusTooManyRequests, "admission queue full (%d queued); retry", s.pool.Cap())
@@ -561,7 +501,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		s.timeouts++
 		s.mu.Unlock()
 		httpError(w, http.StatusGatewayTimeout,
-			"deadline exceeded while queued/running; poll /v1/jobs/%s or retry", job.ID)
+			"deadline exceeded while queued/running; poll /v1/jobs/%s or retry", hash)
 		return
 	}
 	s.mu.Lock()
@@ -599,14 +539,14 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, job *Job, async
 	}
 	if async {
 		s.mu.Lock()
-		status := jobStatus(job)
+		status := job.Status
 		s.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
 		_ = json.NewEncoder(w).Encode(map[string]any{
-			"id":     job.ID,
+			"id":     job.Hash,
 			"status": status,
-			"url":    "/v1/jobs/" + job.ID,
+			"url":    "/v1/jobs/" + job.Hash,
 		})
 		return
 	}
@@ -620,94 +560,50 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, job *Job, async
 	rs.AddStage("encode", now().Sub(encodeStart).Nanoseconds())
 }
 
-// jobStatus derives the externally visible state; the caller must hold
-// s.mu (Status and Error are lock-guarded until done closes).
-func jobStatus(job *Job) string {
-	select {
-	case <-job.done:
-		if job.Error != "" {
-			return StatusFailed
-		}
-		return StatusDone
-	default:
-		return job.Status
-	}
-}
-
-// newJob registers a fresh job record, pruning the oldest finished
-// records beyond the budget (pruned records also leave the store).
-// reqJSON and canon are the persisted acceptance artifacts; both are
-// nil when the durable store is disabled.
-func (s *Server) newJob(hash string, reqJSON, canon []byte) *Job {
+// hitJob returns the record a cache hit answers with: the one already
+// under hash, or, when there is none (or only a failed one), a new
+// record born done.
+func (s *Server) hitJob(hash string, body []byte) *Job {
 	s.mu.Lock()
-	job, pruned := s.newJobLocked(hash, reqJSON, canon)
-	s.mu.Unlock()
-	s.dropJobRecords(pruned)
+	defer s.mu.Unlock()
+	if job := s.jobs[hash]; job != nil && job.Status != StatusFailed {
+		return job
+	}
+	job := s.newJobLocked(hash)
+	job.Status, job.Cache, job.report, job.ended = StatusDone, "hit", body, job.created
+	close(job.done)
+	s.publishJobLocked(job, StatusDone)
 	return job
 }
 
-// newJobLocked is newJob for a caller that holds s.mu. It returns the
-// ids of the records it pruned, which the caller drops from the store
-// with dropJobRecords after releasing s.mu.
-func (s *Server) newJobLocked(hash string, reqJSON, canon []byte) (*Job, []string) {
-	s.seq++
-	short := hash
-	if len(short) > 12 {
-		short = short[:12]
-	}
-	job := &Job{
-		ID:      fmt.Sprintf("j%06d-%s", s.seq, short),
-		Hash:    hash,
-		Status:  StatusQueued,
-		seq:     s.seq,
-		reqJSON: reqJSON,
-		canon:   canon,
-		done:    make(chan struct{}),
-		created: now(),
-	}
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	s.publishJobLocked(job, StatusQueued)
-	var pruned []string
-	for len(s.order) > s.cfg.MaxJobs {
-		oldest := s.jobs[s.order[0]]
-		if oldest != nil && jobStatus(oldest) == StatusQueued || oldest != nil && jobStatus(oldest) == StatusRunning {
-			break // never prune live jobs
+// newJobLocked registers a queued record under hash, replacing any
+// finished one, and prunes the oldest finished records beyond the
+// budget. The caller holds s.mu.
+func (s *Server) newJobLocked(hash string) *Job {
+	job := &Job{Hash: hash, Status: StatusQueued, done: make(chan struct{}), created: now()}
+	s.jobs[hash] = job
+	s.order = append(s.order, job)
+	for len(s.order) > s.cfg.MaxJobs && !s.order[0].live() {
+		if old := s.order[0]; s.jobs[old.Hash] == old {
+			delete(s.jobs, old.Hash)
 		}
-		delete(s.jobs, s.order[0])
-		pruned = append(pruned, s.order[0])
 		s.order = s.order[1:]
 	}
-	return job, pruned
-}
-
-// dropJobRecords removes pruned job records from the store.
-func (s *Server) dropJobRecords(ids []string) {
-	for _, id := range ids {
-		s.dropJobRecord(id)
-	}
+	return job
 }
 
 // runJob is the pool task: re-check the cache (an identical run may
 // have landed while queued), run the engine, store and publish.
 func (s *Server) runJob(ctx context.Context, job *Job, key string, sc vip.Scenario) {
+	defer s.feedBacklog() // a finished run frees the queue room recovered runs wait for
 	s.mu.Lock()
 	job.Status = StatusRunning
 	job.started = now()
 	s.publishJobLocked(job, StatusRunning)
 	s.mu.Unlock()
-	s.persistJob(job) // a kill mid-run must replay as interrupted, not queued forever
-	defer func() {
-		s.mu.Lock()
-		// Identity-guarded: a recovered duplicate of the same scenario
-		// must not evict another job's in-flight registration.
-		if s.inflight[key] == job {
-			delete(s.inflight, key)
-		}
-		s.mu.Unlock()
-	}()
 
 	if err := ctx.Err(); err != nil {
+		// Shutdown, not a verdict on the scenario: the marker stays.
 		s.completeJob(job, nil, "", fmt.Errorf("cancelled before dispatch: %w", err))
 		return
 	}
@@ -717,27 +613,27 @@ func (s *Server) runJob(ctx context.Context, job *Job, key string, sc vip.Scenar
 	}
 	body, err := s.cfg.Run(sc)
 	if err != nil {
+		s.cache.DropPending(key) // a terminal failure is held in memory only
 		s.completeJob(job, nil, "", err)
 		return
 	}
 	s.mu.Lock()
 	s.runs++
 	s.mu.Unlock()
-	s.cache.Put(key, body)
+	if err := s.cache.Put(key, body); err == nil {
+		s.cache.DropPending(key) // the result is durable: the promise is kept
+	}
 	s.completeJob(job, body, "miss", nil)
 }
 
-// completeJob finalizes a job exactly once. The terminal state is made
-// durable before the done channel releases waiters, so a response a
-// client observed can never be rolled back to "queued" by a crash —
-// without holding s.mu across the store's fsync.
+// completeJob finalizes a live job exactly once and releases its
+// waiters.
 func (s *Server) completeJob(job *Job, body []byte, cacheState string, err error) {
 	s.mu.Lock()
-	if job.completing {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if !job.live() {
 		return
 	}
-	job.completing = true
 	if err != nil {
 		job.Status = StatusFailed
 		job.Error = err.Error()
@@ -748,39 +644,56 @@ func (s *Server) completeJob(job *Job, body []byte, cacheState string, err error
 		job.report = body
 	}
 	job.ended = now()
-	s.mu.Unlock()
-	s.persistJob(job)
-	s.mu.Lock()
 	s.publishJobLocked(job, job.Status)
 	close(job.done)
-	s.mu.Unlock()
+}
+
+// isHash reports whether id has the shape of a scenario hash, 64
+// lowercase hex digits: the only job ids there are. It is checked
+// before any lookup, so an outside id never becomes a file path.
+func isHash(id string) bool {
+	if len(id) != 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // handleJob reports one job's status, embedding the report when done.
-// Jobs restored from the durable store after a restart are annotated
-// (recovered, attempts) in both the document and the request span, and
-// their reports are re-attached lazily from the content-addressed cache.
+// A hash with no record in memory falls back to the cache directory: a
+// result there is a job finished before a restart (or pruned since),
+// and its rebuilt record is annotated recovered, in the document and
+// in the request span.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	job := s.jobs[id]
-	s.mu.Unlock()
-	if job == nil {
+	if !isHash(id) {
 		httpError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
 	s.mu.Lock()
-	if job.report == nil && job.Recovered && jobStatus(job) == StatusDone {
-		// Restored before the cache was warm (or the memory LRU turned
-		// over): the result is content-addressed, so fetch it now.
-		if body, ok := s.cache.Get(cache.Key(job.Hash, vip.EngineVersion)); ok {
-			job.report = body
+	var job Job
+	rec, ok := s.jobs[id]
+	if ok {
+		job = *rec
+	}
+	s.mu.Unlock()
+	if !ok && s.cfg.CacheDir != "" {
+		if body, hit := s.cache.Get(cache.Key(id, vip.EngineVersion)); hit {
+			job, ok = Job{Hash: id, Status: StatusDone, Recovered: true, report: body}, true
 		}
 	}
+	if !ok {
+		httpError(w, http.StatusNotFound, "unknown job %q", id)
+		return
+	}
 	doc := map[string]any{
-		"id":            job.ID,
+		"id":            job.Hash,
 		"scenario_hash": job.Hash,
-		"status":        jobStatus(job),
+		"status":        job.Status,
 	}
 	if job.Cache != "" {
 		doc["cache"] = job.Cache
@@ -800,7 +713,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if job.report != nil {
 		doc["report"] = json.RawMessage(job.report)
 	}
-	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(doc)
 }
@@ -817,11 +729,6 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 // statsDoc snapshots the service counters; it backs both
 // /v1/cache/stats and the periodic /v1/sim/stream snapshots.
 func (s *Server) statsDoc() map[string]any {
-	var storeStats *store.Stats
-	if s.store != nil {
-		st := s.store.Stats()
-		storeStats = &st
-	}
 	// Snapshot the pool gauges in one call so depth+inflight are a
 	// consistent pair, taken outside s.mu (the pool has its own
 	// synchronization and must not nest under the server lock).
@@ -842,23 +749,31 @@ func (s *Server) statsDoc() map[string]any {
 		"queue_depth":     ps.Depth,
 		"queue_cap":       ps.Cap,
 		"pool_inflight":   ps.Inflight,
-		"inflight":        len(s.inflight),
+		"inflight":        s.liveJobsLocked(),
 		"subscribers":     s.hs.Broker().Subscribers(),
 		"engine_version":  vip.EngineVersion,
 	}
-	if s.cfg.StoreDir != "" {
-		doc["store_degraded"] = s.storeDegraded
-		doc["store_writes"] = s.storeWrites
+	if s.cfg.CacheDir != "" {
+		doc["store_writes"] = s.markerWrites
 		doc["replayed_jobs"] = s.replayedJobs
 		doc["job_retries"] = s.retries
-		if storeStats != nil {
-			doc["store"] = *storeStats
-		}
 	}
 	if s.draining {
 		doc["draining"] = true
 	}
 	return doc
+}
+
+// liveJobsLocked counts the queued and running jobs; the caller holds
+// s.mu.
+func (s *Server) liveJobsLocked() int {
+	n := 0
+	for _, job := range s.jobs {
+		if job.live() {
+			n++
+		}
+	}
+	return n
 }
 
 // promInstruments renders the serve counters for the /metrics scrape:
@@ -869,10 +784,6 @@ func (s *Server) promInstruments() []byte {
 	hitRatio := 0.0
 	if lookups := cs.Hits + cs.Misses; lookups > 0 {
 		hitRatio = float64(cs.Hits) / float64(lookups)
-	}
-	var ss store.Stats
-	if s.store != nil {
-		ss = s.store.Stats()
 	}
 	ps := s.pool.Stats()
 	s.mu.Lock()
@@ -887,7 +798,7 @@ func (s *Server) promInstruments() []byte {
 		"serve.engine_runs":         float64(s.runs),
 		"serve.shed_total":          float64(s.shed),
 		"serve.coalesced":           float64(s.coalesced),
-		"serve.inflight_coalesced":  float64(len(s.inflight)),
+		"serve.inflight_coalesced":  float64(s.liveJobsLocked()),
 		"serve.requests.sync":       float64(s.syncReqs),
 		"serve.requests.async":      float64(s.asyncReqs),
 		"serve.failures":            float64(s.failures),
@@ -905,24 +816,15 @@ func (s *Server) promInstruments() []byte {
 		"serve.stream.subscribers":  float64(s.hs.Broker().Subscribers()),
 		"serve.stream.dropped":      float64(s.hs.Broker().Dropped()),
 	}
-	if s.cfg.StoreDir != "" {
-		degraded := 0.0
-		if s.storeDegraded {
-			degraded = 1.0
-		}
+	if s.cfg.CacheDir != "" {
 		draining := 0.0
 		if s.draining {
 			draining = 1.0
 		}
-		vals["serve.store.degraded"] = degraded
 		vals["serve.draining"] = draining
-		vals["serve.store.writes_total"] = float64(s.storeWrites)
+		vals["serve.store.writes_total"] = float64(s.markerWrites)
 		vals["serve.store.replayed_jobs"] = float64(s.replayedJobs)
 		vals["serve.job_retries_total"] = float64(s.retries)
-		vals["serve.store.keys"] = float64(ss.Keys)
-		vals["serve.store.wal_bytes"] = float64(ss.WALBytes)
-		vals["serve.store.syncs_total"] = float64(ss.Syncs)
-		vals["serve.store.compactions_total"] = float64(ss.Compactions)
 		vals["serve.store.cache_corrupt_total"] = float64(cs.Corrupt)
 	}
 	s.mu.Unlock()
