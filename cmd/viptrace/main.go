@@ -20,7 +20,7 @@ import (
 	"github.com/vipsim/vip/internal/metrics"
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
-	"github.com/vipsim/vip/internal/trace"
+	"github.com/vipsim/vip/internal/telemetry"
 	"github.com/vipsim/vip/internal/workload"
 )
 
@@ -75,9 +75,9 @@ func main() {
 		specs = append(specs, a)
 	}
 
-	rec := trace.NewRecorder()
+	rec := telemetry.NewPhaseRecorder()
 	pcfg := platform.DefaultConfig(mode)
-	pcfg.Tracer = rec
+	pcfg.Spans = rec
 	if *metricsOut != "" {
 		pcfg.Metrics = metrics.NewRegistry()
 	}
@@ -96,13 +96,13 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Print(rec.Summary())
+	fmt.Print(rec.PhaseSummary())
 	fmt.Println()
 	per := opts.Duration / 160
 	if per < sim.Microsecond {
 		per = sim.Microsecond
 	}
-	rec.WriteTimeline(os.Stdout, 0, opts.Duration, per)
+	rec.WritePhaseTimeline(os.Stdout, 0, opts.Duration, per)
 	fmt.Println()
 	fmt.Printf("(c=compute, m=memstall, f=flowstall; flows: frame spans)\n\n")
 	fmt.Print(rep)
@@ -112,13 +112,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := rec.WriteChrome(f); err != nil {
+		if err := rec.WritePhaseChrome(f); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nwrote %s (%d events) — open in ui.perfetto.dev\n", *out, rec.Len())
+		fmt.Printf("\nwrote %s (%d events) — open in ui.perfetto.dev\n", *out, rec.PhaseLen())
 	}
 
 	if *metricsOut != "" {

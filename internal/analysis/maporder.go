@@ -122,7 +122,9 @@ func effectfulCall(pass *Pass, call *ast.CallExpr) string {
 			return "registers metrics via " + recv.Obj().Name() + "." + fn.Name()
 		case "Counter.Add", "Counter.Inc", "Distribution.Observe":
 			return "records metrics via " + recv.Obj().Name() + "." + fn.Name()
-		case "Tracer.Span", "Tracer.Mark", "Recorder.Span", "Recorder.Mark":
+		case "Recorder.Emit", "Recorder.Instant", "Recorder.Phase", "Recorder.PhaseMark",
+			"Recorder.FrameSubmit", "Recorder.FrameDrop", "Recorder.Frame",
+			"Recorder.FrameExpired", "Recorder.Detour", "Recorder.Hop":
 			return "emits trace events via " + recv.Obj().Name() + "." + fn.Name()
 		}
 	}

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
 	"regexp"
 	"strings"
 )
@@ -14,19 +12,14 @@ import (
 // would mutate the registry mid-run (and, behind a sampler, mid-sample).
 var constructionFunc = regexp.MustCompile(`^(New|new|Register|register|Start|start|Init|init)`)
 
-// ProbeGuard polices the observability probes' nil-safety conventions:
-//
-//  1. trace.Tracer is an interface; calling Span/Mark on a nil interface
-//     panics, so every call site must be dominated by a nil check of the
-//     very expression it calls through (the metrics types are nil-safe
-//     pointers and need no guard).
-//  2. Registry.Counter/Distribution/Gauge registration happens at
-//     component construction only; late registration would change the
-//     sampler's gauge set mid-run and desynchronize exported series.
+// ProbeGuard confines Registry.Counter/Distribution/Gauge registration
+// to component construction: late registration would change the
+// sampler's gauge set mid-run and desynchronize exported series. The
+// probes themselves (telemetry.Recorder, metrics.Registry and its
+// handles) are nil-safe pointers, so calls through them need no guard.
 var ProbeGuard = &Analyzer{
-	Name: "probeguard",
-	Doc: "require nil guards on trace.Tracer method calls and confine " +
-		"metrics registration to component construction",
+	Name:  "probeguard",
+	Doc:   "confine metrics registration to component construction",
 	Match: matchNonMain,
 	Run:   runProbeGuard,
 }
@@ -51,7 +44,6 @@ func runProbeGuard(pass *Pass) error {
 				funcStack = funcStack[:len(funcStack)-1]
 				return false
 			case *ast.CallExpr:
-				checkTracerCall(pass, f, n)
 				checkRegistration(pass, n, funcStack)
 			}
 			return true
@@ -59,97 +51,6 @@ func runProbeGuard(pass *Pass) error {
 		ast.Inspect(f, inspect)
 	}
 	return nil
-}
-
-// checkTracerCall flags Span/Mark calls through a trace.Tracer interface
-// value that no enclosing if statement proves non-nil.
-func checkTracerCall(pass *Pass, file *ast.File, call *ast.CallExpr) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	recvType := pass.Info.TypeOf(sel.X)
-	if recvType == nil || !isTracerInterface(pass, recvType) {
-		return
-	}
-	if nilGuarded(pass, file, sel.X, call) {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"call to %s.%s on interface trace.Tracer without a nil guard (a nil Tracer panics); wrap in `if %s != nil`",
-		types.ExprString(sel.X), sel.Sel.Name, types.ExprString(sel.X))
-}
-
-// isTracerInterface reports whether t is the module's trace.Tracer
-// interface (or an identically named interface in a fixture package).
-func isTracerInterface(pass *Pass, t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	if _, iface := n.Underlying().(*types.Interface); !iface {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "Tracer" && pass.IsOurs(obj.Pkg())
-}
-
-// nilGuarded reports whether call sits inside the then-branch of an if
-// whose condition includes `recv != nil` for the same receiver
-// expression (textually, which is exactly the convention the codebase
-// uses: `if c.cfg.Tracer != nil { c.cfg.Tracer.Span(...) }` or
-// `if tr := p.Tracer(); tr != nil { tr.Mark(...) }`).
-func nilGuarded(pass *Pass, file *ast.File, recv ast.Expr, call *ast.CallExpr) bool {
-	want := types.ExprString(recv)
-	guarded := false
-	path := enclosingIfs(file, call.Pos())
-	for _, ifs := range path {
-		if !within(ifs.Body, call.Pos()) {
-			continue // guard in the else branch proves nothing
-		}
-		if condChecksNonNil(ifs.Cond, want) {
-			guarded = true
-			break
-		}
-	}
-	return guarded
-}
-
-// enclosingIfs returns every if statement whose extent covers pos.
-func enclosingIfs(file *ast.File, pos token.Pos) []*ast.IfStmt {
-	var out []*ast.IfStmt
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil || pos < n.Pos() || pos >= n.End() {
-			return n == file // keep walking only through covering nodes
-		}
-		if ifs, ok := n.(*ast.IfStmt); ok {
-			out = append(out, ifs)
-		}
-		return true
-	})
-	return out
-}
-
-// within reports whether pos lies inside n.
-func within(n ast.Node, pos token.Pos) bool {
-	return n != nil && n.Pos() <= pos && pos < n.End()
-}
-
-// condChecksNonNil walks a condition for a `want != nil` conjunct.
-func condChecksNonNil(cond ast.Expr, want string) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || be.Op != token.NEQ {
-			return !found
-		}
-		x, y := types.ExprString(ast.Unparen(be.X)), types.ExprString(ast.Unparen(be.Y))
-		if (x == want && y == "nil") || (y == want && x == "nil") {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // checkRegistration flags Registry.Counter/Distribution/Gauge calls

@@ -9,7 +9,7 @@ import (
 
 	"github.com/vipsim/vip/internal/metrics"
 	"github.com/vipsim/vip/internal/sim"
-	"github.com/vipsim/vip/internal/trace"
+	"github.com/vipsim/vip/internal/telemetry"
 )
 
 // schedules: engine state advances in map order.
@@ -29,9 +29,16 @@ func constructs(m map[string]uint64) map[string]*sim.RNG {
 }
 
 // emits: trace records appear in map order.
-func emits(tr *trace.Recorder, m map[string]sim.Time) {
-	for name, at := range m { // want `emits trace events via Recorder\.Mark`
-		tr.Mark("track", name, at)
+func emits(rec *telemetry.Recorder, m map[string]sim.Time) {
+	for name, at := range m { // want `emits trace events via Recorder\.PhaseMark`
+		rec.PhaseMark("track", name, at)
+	}
+}
+
+// emitsSpans: the span log's emitters count too.
+func emitsSpans(rec *telemetry.Recorder, m map[string]int) {
+	for track, frame := range m { // want `emits trace events via Recorder\.FrameSubmit`
+		rec.FrameSubmit(track, frame, 0)
 	}
 }
 

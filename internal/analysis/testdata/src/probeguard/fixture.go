@@ -1,15 +1,10 @@
-// Package probeguard is the analyzer fixture: unguarded trace.Tracer
-// calls and late metric registration, plus the blessed conventions.
+// Package probeguard is the analyzer fixture: late metric registration,
+// plus the blessed conventions.
 package probeguard
 
-import (
-	"github.com/vipsim/vip/internal/metrics"
-	"github.com/vipsim/vip/internal/sim"
-	"github.com/vipsim/vip/internal/trace"
-)
+import "github.com/vipsim/vip/internal/metrics"
 
 type config struct {
-	Tracer  trace.Tracer
 	Metrics *metrics.Registry
 }
 
@@ -30,43 +25,6 @@ func (c *component) registerMetrics() {
 	reg := c.cfg.Metrics
 	c.frames = reg.Counter("fixture.frames")
 	reg.Gauge("fixture.depth", func() float64 { return 0 })
-}
-
-// unguarded calls the Tracer interface without proving it non-nil.
-func (c *component) unguarded(at sim.Time) {
-	c.cfg.Tracer.Mark("track", "ev", at) // want `call to c\.cfg\.Tracer\.Mark on interface trace\.Tracer without a nil guard`
-	if at > 0 {
-		c.cfg.Tracer.Span("track", "ev", 0, at) // want `call to c\.cfg\.Tracer\.Span on interface trace\.Tracer without a nil guard`
-	}
-}
-
-// elseBranch: a guard whose else branch calls anyway proves nothing.
-func (c *component) elseBranch(at sim.Time) {
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Mark("track", "ok", at)
-	} else {
-		c.cfg.Tracer.Mark("track", "boom", at) // want `without a nil guard`
-	}
-}
-
-// guarded is the convention: the call is dominated by a nil check of
-// the same expression (directly or via the if-init binding).
-func (c *component) guarded(tr trace.Tracer, at sim.Time) {
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Mark("track", "ev", at)
-	}
-	if at > 0 && tr != nil {
-		tr.Span("track", "ev", 0, at)
-	}
-	if t := c.cfg.Tracer; t != nil {
-		t.Mark("track", "ev", at)
-	}
-}
-
-// concrete *trace.Recorder methods are nil-safe pointers: no guard
-// needed.
-func concrete(rec *trace.Recorder, at sim.Time) {
-	rec.Mark("track", "ev", at)
 }
 
 // nilSafeProbes: counter/distribution methods are nil-safe by design.

@@ -7,12 +7,12 @@ import (
 
 // walltimePackages are the packages policed by the walltime rule: the
 // engine-adjacent simulator packages plus the observability pipeline
-// (telemetry spans, trace export, metrics). The pipeline carries the
+// (telemetry spans and phase timeline, metrics). The pipeline carries the
 // engine's deterministic output — one wall-clock read smuggled in as a
 // span attribute or a metric value silently breaks byte-identical
 // artifacts, which is why it is held to the engine's standard.
 var walltimePackages = append([]string{
-	"internal/telemetry", "internal/trace", "internal/metrics",
+	"internal/telemetry", "internal/metrics",
 }, simPackages...)
 
 // Walltime is the strict companion to SimDeterminism for the two-clock
@@ -25,7 +25,7 @@ var walltimePackages = append([]string{
 var Walltime = &Analyzer{
 	Name: "walltime",
 	Doc: "forbid any reference (not just calls) to wall-clock time " +
-		"functions in the engine and telemetry/trace/metrics packages; " +
+		"functions in the engine and telemetry/metrics packages; " +
 		"sim-time comes from sim.Engine, wall-clock spans belong to the " +
 		"serving layer",
 	Match: func(pkgPath string) bool { return matchesModule(pkgPath, walltimePackages) },

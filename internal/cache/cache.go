@@ -195,9 +195,15 @@ func (c *Cache) Stats() Stats {
 
 // path maps a key to its on-disk location, sharding by the first two
 // key characters so huge stores do not pile every entry into one
-// directory.
+// directory. A name that is empty or starts with a dot gains a leading
+// "_", so neither the shard nor the name can be "", "." or ".." and step
+// out of the cache directory, and no entry takes a writeFile temp name.
+// Real keys start with a hex digit and keep their names.
 func (c *Cache) path(key string) string {
 	k := sanitize(key)
+	if k == "" || k[0] == '.' {
+		k = "_" + k
+	}
 	shard := "xx"
 	if len(k) >= 2 {
 		shard = k[:2]

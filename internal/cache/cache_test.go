@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -89,15 +90,35 @@ func TestKeySanitization(t *testing.T) {
 	if k != "deadbeef@vip-engine_1" {
 		t.Errorf("Key = %q", k)
 	}
-	// Hostile keys must not escape the cache directory.
-	dir := t.TempDir()
-	c := New(4, dir)
-	c.Put("../../escape", []byte("x"))
-	if _, err := os.Stat(filepath.Join(dir, "..", "..", "escape")); err == nil {
-		t.Error("path traversal escaped the cache dir")
+	// Hostile keys must stay inside the cache directory: every file they
+	// leave lies under dir, and a fresh cache over dir reads each back.
+	// dir sits two levels down, so an escape lands inside root.
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "cache")
+	keys := []string{"..@x@vip-engine_1", "../../escape", "..", ".", ""}
+	c := New(len(keys), dir)
+	for i, k := range keys {
+		if err := c.Put(k, []byte{'a' + byte(i)}); err != nil {
+			t.Errorf("Put(%q): %v", k, err)
+		}
 	}
-	if v, ok := c.Get("../../escape"); !ok || string(v) != "x" {
-		t.Errorf("sanitized key not retrievable: %q, %v", v, ok)
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		if rel, err := filepath.Rel(dir, p); err != nil || !filepath.IsLocal(rel) {
+			t.Errorf("%s lies outside the cache dir %s", p, dir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(len(keys), dir)
+	for i, k := range keys {
+		if v, ok := fresh.Get(k); !ok || !bytes.Equal(v, []byte{'a' + byte(i)}) {
+			t.Errorf("Get(%q) from disk = %q, %v", k, v, ok)
+		}
 	}
 }
 

@@ -36,8 +36,8 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 	fs.faults++
 	r.frameTimeouts++
 	r.mFrameTimeouts.Inc()
-	if tr := r.p.Tracer(); tr != nil {
-		tr.Mark("driver", "fault/timeout/"+fs.spec.Name, r.p.Eng.Now())
+	if r.phases != nil {
+		r.phases.PhaseMark("driver", "fault/timeout/"+fs.spec.Name, r.p.Eng.Now())
 	}
 	r.spans.Detour(fs.track, frame, "timeout", r.p.Eng.Now())
 	attempt := fs.attempts[frame]
@@ -56,8 +56,8 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 		fs.degraded = true
 		r.degradedFlows++
 		r.mDegraded.Inc()
-		if tr := r.p.Tracer(); tr != nil {
-			tr.Mark("driver", "fault/degrade/"+fs.spec.Name, r.p.Eng.Now())
+		if r.phases != nil {
+			r.phases.PhaseMark("driver", "fault/degrade/"+fs.spec.Name, r.p.Eng.Now())
 		}
 		r.spans.Detour(fs.track, frame, "degrade", r.p.Eng.Now())
 	}

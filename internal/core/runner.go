@@ -27,8 +27,10 @@ type Runner struct {
 	ran       bool
 
 	// Observability: counters are nil (no-op) when the platform has no
-	// metrics registry; spans is nil (no-op) when span tracing is off.
+	// metrics registry; spans is nil (no-op) when span tracing is off,
+	// and phases is spans when it records the phase category, else nil.
 	spans          *telemetry.Recorder
+	phases         *telemetry.Recorder
 	sampler        *metrics.Sampler
 	mReleased      *metrics.Counter
 	mCompleted     *metrics.Counter
@@ -108,7 +110,7 @@ func NewRunner(p *platform.Platform, apps []app.Spec, opts Options) (*Runner, er
 	if len(apps) == 0 {
 		return nil, fmt.Errorf("core: no applications")
 	}
-	r := &Runner{p: p, opts: opts, apps: apps, cm: newChainManager(p), spans: p.Spans()}
+	r := &Runner{p: p, opts: opts, apps: apps, cm: newChainManager(p), spans: p.Spans(), phases: p.Spans().Phases()}
 	// Counter/distribution handles are nil-safe: on a platform without a
 	// registry they are nil and every increment is a no-op.
 	reg := p.Metrics()
@@ -352,8 +354,8 @@ func (r *Runner) completeFrame(fs *flowState, frame int) {
 		start = j.StartedAt()
 		delete(fs.firstJob, frame)
 	}
-	if tr := r.p.Tracer(); tr != nil {
-		tr.Span(fs.track, fmt.Sprintf("f%d", frame), start, r.p.Eng.Now())
+	if r.phases != nil {
+		r.phases.Phase(fs.track, fmt.Sprintf("f%d", frame), start, r.p.Eng.Now())
 	}
 	now := r.p.Eng.Now()
 	onTime := fs.qos.Completed(rel, start, now)

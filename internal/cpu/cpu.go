@@ -19,7 +19,7 @@ import (
 	"github.com/vipsim/vip/internal/energy"
 	"github.com/vipsim/vip/internal/metrics"
 	"github.com/vipsim/vip/internal/sim"
-	"github.com/vipsim/vip/internal/trace"
+	"github.com/vipsim/vip/internal/telemetry"
 )
 
 // Config describes the CPU complex. DefaultConfig matches Table 3's
@@ -43,8 +43,9 @@ type Config struct {
 	// already queued behind the core (scheduler + cache contention).
 	LoadFactor float64
 
-	// Tracer, when non-nil, records per-core task timelines.
-	Tracer trace.Tracer
+	// Spans, when it records the phase category, receives per-core task
+	// timelines.
+	Spans *telemetry.Recorder
 
 	// Metrics, when non-nil, receives the complex's gauges (busy
 	// fraction, sleep residency, run-queue depth, interrupt counts).
@@ -111,6 +112,8 @@ type Complex struct {
 	acct  *energy.Account
 	cores []*core
 	stats Stats
+	// phases is cfg.Spans when it records the phase category, else nil.
+	phases *telemetry.Recorder
 }
 
 // New builds a CPU complex; it panics on invalid configuration.
@@ -118,7 +121,7 @@ func New(eng *sim.Engine, cfg Config, acct *energy.Account) *Complex {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	cx := &Complex{eng: eng, cfg: cfg, acct: acct}
+	cx := &Complex{eng: eng, cfg: cfg, acct: acct, phases: cfg.Spans.Phases()}
 	cx.cores = make([]*core, cfg.Cores)
 	for i := range cx.cores {
 		cx.cores[i] = &core{idleSince: 0}
@@ -241,10 +244,10 @@ func (cx *Complex) startNext(c *core) {
 	}
 
 	total := wake + eff
-	if cx.cfg.Tracer != nil {
+	if cx.phases != nil {
 		for i := range cx.cores {
 			if cx.cores[i] == c {
-				cx.cfg.Tracer.Span(fmt.Sprintf("CPU%d", i), t.Label, now, now+total)
+				cx.phases.Phase(fmt.Sprintf("CPU%d", i), t.Label, now, now+total)
 				break
 			}
 		}

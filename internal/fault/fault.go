@@ -11,7 +11,7 @@
 // two runs with the same seed and the same fault configuration inject
 // byte-identical fault sequences.
 //
-// Like trace.Tracer and metrics.Registry, the whole layer is nil-safe
+// Like telemetry.Recorder and metrics.Registry, the whole layer is nil-safe
 // and zero-cost when disabled: every method on a nil *Injector reports
 // "no fault" without drawing randomness, so component models query it
 // unconditionally and a run without faults is bit-identical to a build

@@ -10,7 +10,6 @@ import (
 	"github.com/vipsim/vip/internal/noc"
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/internal/telemetry"
-	"github.com/vipsim/vip/internal/trace"
 )
 
 // Policy selects the lane scheduler implemented in the IP's hardware.
@@ -91,10 +90,6 @@ type Config struct {
 	// Power (watts) by activity.
 	ActiveW, StallW, IdleW float64
 
-	// Tracer, when non-nil, records the core's phase timeline and frame
-	// completions.
-	Tracer trace.Tracer
-
 	// Metrics, when non-nil, receives the core's gauges (busy fraction,
 	// lane occupancy, flow-buffer fill, context switches), prefixed
 	// "ip.<Name>.".
@@ -102,7 +97,9 @@ type Config struct {
 
 	// Spans, when non-nil, receives one queue span and one service span
 	// per retired job (the per-hop segments of a frame's causal trace),
-	// annotated with DRAM/NoC wait time and bytes moved.
+	// annotated with DRAM/NoC wait time and bytes moved. When it records
+	// the phase category it also receives the core's phase timeline and
+	// its job-completion and fault marks.
 	Spans *telemetry.Recorder
 
 	// Injector, when non-nil and enabled, delivers hardware faults to
@@ -213,7 +210,11 @@ type Core struct {
 	sa   *noc.Fabric
 	mem  *dram.Controller
 	acct *energy.Account
-	sram energy.SRAMModel
+	// bufReadJ and bufWriteJ are the CACTI energies of one 64 B line
+	// access to a LaneBufBytes flow buffer.
+	bufReadJ, bufWriteJ float64
+	// phases is cfg.Spans when it records the phase category, else nil.
+	phases *telemetry.Recorder
 
 	lanes []*Lane
 
@@ -257,8 +258,11 @@ func NewCore(eng *sim.Engine, cfg Config, sa *noc.Fabric, mem *dram.Controller, 
 		panic(err)
 	}
 	c := &Core{
-		eng: eng, cfg: cfg, sa: sa, mem: mem, acct: acct, sram: sram,
-		phase: PhaseIdle,
+		eng: eng, cfg: cfg, sa: sa, mem: mem, acct: acct,
+		bufReadJ:  sram.ReadEnergyJ(cfg.LaneBufBytes),
+		bufWriteJ: sram.WriteEnergyJ(cfg.LaneBufBytes),
+		phases:    cfg.Spans.Phases(),
+		phase:     PhaseIdle,
 	}
 	c.lanes = make([]*Lane, cfg.Lanes)
 	for i := range c.lanes {
@@ -444,8 +448,8 @@ func (c *Core) kicked() {
 func (c *Core) setPhase(p Phase) {
 	now := c.eng.Now()
 	d := now - c.phaseSince
-	if d > 0 && c.cfg.Tracer != nil && c.phase != PhaseIdle {
-		c.cfg.Tracer.Span(c.cfg.Name, phaseTraceName(c.phase), c.phaseSince, now)
+	if d > 0 && c.phases != nil && c.phase != PhaseIdle {
+		c.phases.Phase(c.cfg.Name, phaseTraceName(c.phase), c.phaseSince, now)
 	}
 	if d > 0 {
 		switch c.phase {
@@ -490,11 +494,9 @@ func (c *Core) FinalizeAccounting() { c.setPhase(c.phase) }
 // n-byte access (per 64 B line), write or read.
 func (c *Core) chargeBufferAccess(n int, write bool) {
 	lines := (n + 63) / 64
-	var per float64
+	per := c.bufReadJ
 	if write {
-		per = c.sram.WriteEnergyJ(c.cfg.LaneBufBytes)
-	} else {
-		per = c.sram.ReadEnergyJ(c.cfg.LaneBufBytes)
+		per = c.bufWriteJ
 	}
 	c.acct.Add(energy.FlowBuffer, per*float64(lines))
 }
@@ -720,28 +722,6 @@ func (c *Core) pick() *Job {
 	}
 }
 
-// pendingKind classifies why the core is blocked, for stall accounting.
-func (c *Core) pendingKind() Phase {
-	any := false
-	for _, l := range c.lanes {
-		j := l.head()
-		if j == nil {
-			continue
-		}
-		if j.Gated || (!j.started && j.NotBefore > c.eng.Now()) {
-			continue // not yet due: waiting is idleness, not a stall
-		}
-		any = true
-		if j.InFromDRAM || j.OutToDRAM {
-			return PhaseStallMem
-		}
-	}
-	if any {
-		return PhaseStallFlow
-	}
-	return PhaseIdle
-}
-
 // dispatch runs the scheduler: pick a job and execute its next chunk.
 func (c *Core) dispatch() {
 	if c.active != nil {
@@ -750,7 +730,11 @@ func (c *Core) dispatch() {
 	j := c.pick()
 	if j == nil {
 		// Register space wake-ups for any head job parked on downstream
-		// flow-buffer credit, so the next consume reschedules us.
+		// flow-buffer credit, so the next consume reschedules us, and
+		// classify the stall: a due head on a DRAM path makes it a memory
+		// stall, any other due head a flow stall.
+		now := c.eng.Now()
+		phase := PhaseIdle
 		for _, l := range c.lanes {
 			h := l.head()
 			if h == nil {
@@ -760,12 +744,21 @@ func (c *Core) dispatch() {
 				h.spaceWait = true
 				h.OutLane.waitForSpace(h.spaceFreed)
 			}
-			if !h.started && h.NotBefore > c.eng.Now() && !h.timerSet {
+			notDue := !h.started && h.NotBefore > now
+			if notDue && !h.timerSet {
 				h.timerSet = true
 				c.eng.At(h.NotBefore, c.wakeFn)
 			}
+			switch {
+			case h.Gated || notDue:
+				// Not yet due: waiting is idleness, not a stall.
+			case h.InFromDRAM || h.OutToDRAM:
+				phase = PhaseStallMem
+			case phase == PhaseIdle:
+				phase = PhaseStallFlow
+			}
 		}
-		c.setPhase(c.pendingKind())
+		c.setPhase(phase)
 		return
 	}
 	c.active = j
@@ -937,8 +930,8 @@ func (c *Core) maybeComplete(j *Job) {
 	}
 	j.done = true
 	j.finishedAt = c.eng.Now()
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Mark(c.cfg.Name, j.Label, c.eng.Now())
+	if c.phases != nil {
+		c.phases.PhaseMark(c.cfg.Name, j.Label, c.eng.Now())
 	}
 	c.cfg.Spans.Hop(c.cfg.Name, j.lane.idx, j.FlowID, j.Frame, j.Stage,
 		j.submitAt, j.startedAt, j.finishedAt, j.dramNS, j.nocNS, j.InBytes, j.OutBytes)
@@ -1000,8 +993,8 @@ func (c *Core) startHang(l *Lane, h fault.Hang) {
 	l.hangStart = c.eng.Now()
 	l.hangGen++
 	gen := l.hangGen
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Mark(c.cfg.Name, fmt.Sprintf("fault/hang/lane%d", l.idx), c.eng.Now())
+	if c.phases != nil {
+		c.phases.PhaseMark(c.cfg.Name, fmt.Sprintf("fault/hang/lane%d", l.idx), c.eng.Now())
 	}
 	if !h.Permanent {
 		c.eng.After(h.Duration, func() {
@@ -1061,8 +1054,8 @@ func (c *Core) quarantineLane(l *Lane) {
 	l.hungPerm = false
 	l.quarantined = true
 	l.hangGen++
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Mark(c.cfg.Name, fmt.Sprintf("fault/quarantine/lane%d", l.idx), c.eng.Now())
+	if c.phases != nil {
+		c.phases.PhaseMark(c.cfg.Name, fmt.Sprintf("fault/quarantine/lane%d", l.idx), c.eng.Now())
 	}
 	var stranded []*Job
 	for _, j := range l.jobs {

@@ -1,6 +1,8 @@
 package ipcore
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -9,7 +11,7 @@ import (
 	"github.com/vipsim/vip/internal/energy"
 	"github.com/vipsim/vip/internal/noc"
 	"github.com/vipsim/vip/internal/sim"
-	"github.com/vipsim/vip/internal/trace"
+	"github.com/vipsim/vip/internal/telemetry"
 )
 
 // rig bundles the substrate a core needs.
@@ -830,9 +832,9 @@ func TestPolicyStringsAll(t *testing.T) {
 
 func TestTracerHooks(t *testing.T) {
 	r := newRig()
-	rec := trace.NewRecorder()
+	rec := telemetry.NewPhaseRecorder()
 	cfg := testConfig("vd")
-	cfg.Tracer = rec
+	cfg.Spans = rec
 	c := r.newCore(cfg)
 	done := false
 	j := &Job{Label: "f0", InBytes: 8 << 10, OutBytes: 8 << 10,
@@ -845,15 +847,30 @@ func TestTracerHooks(t *testing.T) {
 	if !done {
 		t.Fatal("job did not finish")
 	}
-	if rec.Len() == 0 {
-		t.Fatal("tracer recorded nothing")
+	if rec.PhaseLen() == 0 {
+		t.Fatal("no phase timeline recorded")
+	}
+	var chrome bytes.Buffer
+	if err := rec.WritePhaseChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	var evs []struct {
+		Name string         `json:"name"`
+		Ph   string         `json:"ph"`
+		Dur  float64        `json:"dur"`
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &evs); err != nil {
+		t.Fatal(err)
 	}
 	sawCompute, sawMark := false, false
-	for _, e := range rec.Events() {
-		if e.Track == "vd" && e.Name == "compute" && e.Dur > 0 {
+	for _, e := range evs {
+		switch {
+		case e.Ph == "M" && e.Args["name"] != "vd":
+			t.Errorf("phase track %v, want only the core's own", e.Args["name"])
+		case e.Ph == "X" && e.Name == "compute" && e.Dur > 0:
 			sawCompute = true
-		}
-		if e.Name == "f0" && e.Dur == 0 {
+		case e.Ph == "i" && e.Name == "f0":
 			sawMark = true
 		}
 	}

@@ -4,7 +4,7 @@
 // that turns gauges into time series, and exporters for JSON/CSV
 // time-series dumps, Prometheus text snapshots, and a live HTTP endpoint.
 //
-// Like trace.Tracer, the whole layer is nil-safe and zero-cost when
+// Like telemetry.Recorder, the whole layer is nil-safe and zero-cost when
 // disabled: a nil *Registry hands out nil *Counter/*Distribution values
 // whose methods are no-ops, and no sampler events enter the engine's
 // queue. Everything recorded is a pure function of simulated time, so two

@@ -18,7 +18,6 @@ import (
 	"github.com/vipsim/vip/internal/noc"
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/internal/telemetry"
-	"github.com/vipsim/vip/internal/trace"
 )
 
 // Mode selects which of the paper's five system designs the platform
@@ -125,10 +124,6 @@ type Config struct {
 	// from its active power.
 	StallPowerFrac, IdlePowerFrac float64
 
-	// Tracer, when non-nil, records IP/CPU timelines for export (see
-	// internal/trace and cmd/viptrace).
-	Tracer trace.Tracer
-
 	// Metrics, when non-nil, collects every component's counters and
 	// gauges (see internal/metrics); nil disables the whole layer at
 	// zero cost.
@@ -136,8 +131,9 @@ type Config struct {
 
 	// Spans, when non-nil, records the deterministic sim-time span
 	// stream (frame lifecycle, per-hop queue/service/DRAM/NoC segments,
-	// QoS outcomes, recovery detours; see internal/telemetry). Nil
-	// disables emission at zero cost.
+	// QoS outcomes, recovery detours; see internal/telemetry), and the
+	// IP/CPU/driver phase timeline too when it is a phase recorder (see
+	// cmd/viptrace). Nil disables emission at zero cost.
 	Spans *telemetry.Recorder
 
 	// Faults configures the deterministic hardware-fault injector wired
@@ -238,7 +234,7 @@ func New(cfg Config) *Platform {
 		}
 		inj.RegisterMetrics(cfg.Metrics)
 	}
-	cfg.CPU.Tracer = cfg.Tracer
+	cfg.CPU.Spans = cfg.Spans
 	cfg.CPU.Metrics = cfg.Metrics
 	cfg.DRAM.Metrics = cfg.Metrics
 	cfg.DRAM.Injector = inj
@@ -284,7 +280,6 @@ func New(cfg Config) *Platform {
 			ActiveW:       prm.ActiveW,
 			StallW:        prm.ActiveW * cfg.StallPowerFrac,
 			IdleW:         prm.ActiveW*cfg.IdlePowerFrac + 0.0005,
-			Tracer:        cfg.Tracer,
 			Metrics:       cfg.Metrics,
 			Spans:         cfg.Spans,
 		}
@@ -308,9 +303,6 @@ func New(cfg Config) *Platform {
 
 // Config returns the platform configuration.
 func (p *Platform) Config() Config { return p.cfg }
-
-// Tracer returns the configured tracer (nil when tracing is off).
-func (p *Platform) Tracer() trace.Tracer { return p.cfg.Tracer }
 
 // Metrics returns the configured metrics registry (nil when metrics are
 // disabled; a nil registry is safe to use).

@@ -1,13 +1,14 @@
-// Package telemetry records causal, per-frame spans of a simulation —
-// where each frame's time went as it hopped its IP chain — and the
-// wall-clock request spans of the serving layer. The two clock domains
-// never mix:
+// Package telemetry records the sim-time spans of a simulation — causal,
+// per-frame spans of where each frame's time went as it hopped its IP
+// chain, and a phase timeline of what every IP, CPU core and flow was
+// doing, when — and the wall-clock request spans of the serving layer.
+// The two clock domains never mix:
 //
 //   - Sim-time spans (Span, Recorder) are stamped exclusively from the
 //     deterministic engine clock. Same scenario, same seed — byte-identical
-//     span log, which the reproducibility tests pin. This file and its
-//     exports must therefore never read the host clock; the viplint
-//     `walltime` rule enforces that.
+//     span log and phase timeline, which the reproducibility tests pin.
+//     This file and its exports must therefore never read the host clock;
+//     the viplint `walltime` rule enforces that.
 //
 //   - Wall-clock request spans (RequestSpan, reqspan.go) carry host-side
 //     HTTP stage latencies. They are data holders only: the serving layer
@@ -29,7 +30,8 @@ import (
 // Span is one recorded interval (or instant, when End == Start) on a
 // named track. Categories partition the stream: "frame" for frame
 // lifecycle, "hop" for per-stage queue/service segments, "qos" for
-// deadline outcomes, "recovery" for fault detours.
+// deadline outcomes, "recovery" for fault detours, and "phase" for the
+// activity timeline (phase.go), which the span log leaves out.
 type Span struct {
 	Track string   `json:"track"`
 	Cat   string   `json:"cat"`
@@ -57,16 +59,22 @@ func Str(k, v string) Attr { return Attr{Key: k, Val: v} }
 // arrive in deterministic event order.
 type Recorder struct {
 	spans []Span
+	// phase holds the "phase" category apart from spans, so the span
+	// log's exports never see it. lastPhase maps a track to the index in
+	// phase of its latest span; it is non-nil only on a recorder from
+	// NewPhaseRecorder, and that is the category's switch.
+	phase     []Span
+	lastPhase map[string]int
 }
 
-// NewRecorder returns an empty recorder.
+// NewRecorder returns an empty recorder of the span log alone.
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Enabled reports whether spans are being recorded; emission sites that
 // need to build attributes can skip the work when it returns false.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Len reports the number of recorded spans.
+// Len reports the number of recorded spans, less the phase category.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
@@ -90,14 +98,20 @@ func (r *Recorder) Instant(track, cat, name string, at sim.Time, attrs ...Attr) 
 	r.spans = append(r.spans, Span{Track: track, Cat: cat, Name: name, Start: at, Attrs: attrs})
 }
 
-// Spans returns a copy of the recording, stably sorted by start time
-// (ties keep emission order, which is deterministic).
+// Spans returns a copy of the recording, less the phase category,
+// stably sorted by start time (ties keep emission order, which is
+// deterministic).
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	out := make([]Span, len(r.spans))
-	copy(out, r.spans)
+	return sortedByStart(r.spans)
+}
+
+// sortedByStart returns a copy of spans stably sorted by start time.
+func sortedByStart(spans []Span) []Span {
+	out := make([]Span, len(spans))
+	copy(out, spans)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }

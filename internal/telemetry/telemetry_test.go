@@ -36,8 +36,10 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	}
 }
 
-func sample() *Recorder {
-	r := NewRecorder()
+func sample() *Recorder { return recordSample(NewRecorder()) }
+
+// recordSample records one frame's span log into r and returns r.
+func recordSample(r *Recorder) *Recorder {
 	r.FrameSubmit("flow0:A5/play", 0, 0)
 	r.Hop("VD", 1, 0, 0, 0, 0, 2*sim.Microsecond, 9*sim.Microsecond, 1500, 250, 4096, 2048)
 	r.Frame("flow0:A5/play", 0, 0, 2*sim.Microsecond, 12*sim.Microsecond, 16*sim.Microsecond, true)

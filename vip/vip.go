@@ -40,7 +40,6 @@ import (
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/internal/telemetry"
-	"github.com/vipsim/vip/internal/trace"
 	"github.com/vipsim/vip/internal/workload"
 )
 
@@ -136,7 +135,8 @@ type Scenario struct {
 	// (default 2048, the paper's design point).
 	LaneBufferBytes int
 	// ChromeTrace, when non-nil, receives a Chrome/Perfetto trace of the
-	// run (open in ui.perfetto.dev). Keep traced runs short: traces are
+	// run's phase timeline: what every IP, CPU core and flow was doing,
+	// when (open in ui.perfetto.dev). Keep traced runs short: traces are
 	// sub-frame-granular and grow quickly.
 	ChromeTrace io.Writer
 	// TraceSpans, when true, records the causal frame-lifecycle span
@@ -346,15 +346,13 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 	if sc.LaneBufferBytes > 0 {
 		pcfg.LaneBufBytes = sc.LaneBufferBytes
 	}
-	var rec *trace.Recorder
-	if sc.ChromeTrace != nil {
-		rec = trace.NewRecorder()
-		pcfg.Tracer = rec
-	}
-	var spanRec *telemetry.Recorder
-	if sc.TraceSpans {
-		spanRec = telemetry.NewRecorder()
-		pcfg.Spans = spanRec
+	// One recorder serves ChromeTrace (its phase category) and
+	// TraceSpans (its span log, handed to the Result only when asked for).
+	switch {
+	case sc.ChromeTrace != nil:
+		pcfg.Spans = telemetry.NewPhaseRecorder()
+	case sc.TraceSpans:
+		pcfg.Spans = telemetry.NewRecorder()
 	}
 	if sc.MetricsInterval > 0 {
 		pcfg.Metrics = metrics.NewRegistry()
@@ -397,8 +395,8 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		if err := rec.WriteChrome(sc.ChromeTrace); err != nil {
+	if sc.ChromeTrace != nil {
+		if err := pcfg.Spans.WritePhaseChrome(sc.ChromeTrace); err != nil {
 			return nil, fmt.Errorf("vip: writing trace: %w", err)
 		}
 	}
@@ -406,7 +404,9 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 	if s := r.Sampler(); s != nil {
 		res.ts = s.TimeSeries()
 	}
-	res.spans = spanRec
+	if sc.TraceSpans {
+		res.spans = pcfg.Spans
+	}
 	return res, nil
 }
 
