@@ -6,7 +6,7 @@
 //	vipfig -exp all             # everything (several minutes)
 //	vipfig -exp fig3 -duration 300ms
 //	vipfig -exp all -jobs 4     # cap the parallel run executor at 4 workers
-//	vipfig -exp all -cache /tmp/vip-results   # skip cells already simulated
+//	vipfig -exp all -cache /tmp/vip-results   # skip cells an earlier vipfig run simulated
 //
 // Independent simulation runs inside each experiment fan out across
 // CPU cores (-jobs, default GOMAXPROCS); output is byte-identical to
@@ -17,6 +17,12 @@
 // paper's artifacts, the ablation studies: sched, burst, lanes,
 // patience, ctxcost, subframe, ablation (= all six), or "fault" — the
 // fault-injection robustness sweep (rate x scheme, recovery on/off).
+//
+// -seed drives only the Fig. 5/6 touch-model draws: every simulated
+// experiment runs at seed 1. -cache reuses cells of earlier vipfig runs
+// only. vipfig keys a cell by its experiments.Config/v1 encoding and
+// vipserve by the vip.Scenario/v1 encoding, so the two never reuse each
+// other's results, and can share a directory without colliding.
 package main
 
 import (
@@ -37,10 +43,10 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id (table1..3, fig2..fig18, all)")
 	duration := flag.Duration("duration", 400*time.Millisecond, "simulated duration per run")
-	seed := flag.Uint64("seed", 1, "random seed")
+	seed := flag.Uint64("seed", 1, "seed of the Fig. 5/6 touch-model draws (every simulated experiment runs at seed 1)")
 	jsonOut := flag.String("json", "", "also write every experiment's data as machine-readable JSON to this file")
 	jobs := flag.Int("jobs", 0, "parallel workers for independent simulation runs (0 = GOMAXPROCS, 1 = serial)")
-	cacheDir := flag.String("cache", "", "content-addressed result cache directory; cells already simulated (by an earlier vipfig run or a vipserve sharing the directory) are reused instead of re-run")
+	cacheDir := flag.String("cache", "", "content-addressed result cache directory; cells an earlier vipfig run simulated are reused instead of re-run (vipserve keys its results differently, so it can share the directory without colliding, but neither reuses the other's)")
 	flag.Parse()
 
 	parallel.SetJobs(*jobs)

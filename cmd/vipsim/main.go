@@ -31,12 +31,6 @@ import (
 	"github.com/vipsim/vip/vip"
 )
 
-// parseSystem defers to the library's canonical name resolver so the
-// CLI and the vipserve API accept identical spellings.
-func parseSystem(s string) (vip.System, error) {
-	return vip.ParseSystem(s)
-}
-
 func main() {
 	system := flag.String("system", "vip", "system design: baseline|frameburst|iptoip|iptoipburst|vip")
 	apps := flag.String("apps", "A5", "comma-separated app ids (A1..A7) or workload ids (W1..W8)")
@@ -123,7 +117,7 @@ func main() {
 		return
 	}
 
-	sys, err := parseSystem(*system)
+	sys, err := vip.ParseSystem(*system)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vipsim:", err)
 		os.Exit(2)

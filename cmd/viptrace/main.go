@@ -22,26 +22,11 @@ import (
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/internal/telemetry"
 	"github.com/vipsim/vip/internal/workload"
+	"github.com/vipsim/vip/vip"
 )
 
-func parseMode(s string) (platform.Mode, error) {
-	switch strings.ToLower(s) {
-	case "baseline", "base":
-		return platform.Baseline, nil
-	case "frameburst", "fb", "burst":
-		return platform.FrameBurst, nil
-	case "iptoip", "ip2ip", "chain":
-		return platform.IPToIP, nil
-	case "iptoipburst", "ip2ip+fb", "chainburst":
-		return platform.IPToIPBurst, nil
-	case "vip":
-		return platform.VIP, nil
-	}
-	return 0, fmt.Errorf("unknown system %q", s)
-}
-
 func main() {
-	system := flag.String("system", "vip", "system design to trace")
+	system := flag.String("system", "vip", "system design to trace: baseline|frameburst|iptoip|iptoipburst|vip")
 	apps := flag.String("apps", "A5", "comma-separated app ids (A1..A7) or workload ids (W1..W8)")
 	duration := flag.Duration("duration", 60*time.Millisecond, "simulated duration (keep short: traces are dense)")
 	out := flag.String("o", "", "write a Chrome/Perfetto trace JSON to this file")
@@ -49,30 +34,23 @@ func main() {
 	metricsInterval := flag.Duration("metrics-interval", time.Millisecond, "simulated sampling period for -metrics-out")
 	flag.Parse()
 
-	mode, err := parseMode(*system)
+	mode, err := vip.ParseSystem(*system)
 	if err != nil {
 		fatal(err)
 	}
-	var specs []app.Spec
-	for _, id := range strings.Split(*apps, ",") {
-		id = strings.TrimSpace(id)
-		if strings.HasPrefix(id, "W") {
-			w, err := workload.ByID(id)
-			if err != nil {
-				fatal(err)
-			}
-			ws, err := w.Resolve()
-			if err != nil {
-				fatal(err)
-			}
-			specs = append(specs, ws...)
-			continue
-		}
-		a, err := workload.App(id)
-		if err != nil {
+	ids := strings.Split(*apps, ",")
+	for i := range ids {
+		ids[i] = strings.TrimSpace(ids[i])
+	}
+	ids, err = workload.Expand(ids)
+	if err != nil {
+		fatal(err)
+	}
+	specs := make([]app.Spec, len(ids))
+	for i, id := range ids {
+		if specs[i], err = workload.App(id); err != nil {
 			fatal(err)
 		}
-		specs = append(specs, a)
 	}
 
 	rec := telemetry.NewPhaseRecorder()

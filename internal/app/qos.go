@@ -7,19 +7,18 @@ import (
 
 // QoS tracks per-frame deadline behaviour for one flow: a frame released
 // at time R with period P must complete (be displayed / transmitted) by
-// R+P. Completing later is a QoS violation; frames that fall more than
-// DropAfter behind are dropped at the source — the display repeats the
-// previous frame (the frame-drop rate of Figure 18).
+// R+P. Completing later is a QoS violation. A frame is dropped at the
+// source only when the flow already has the driver's MaxBacklog frames
+// in flight (see core.Options); the display then repeats the previous
+// frame (the frame-drop rate of Figure 18).
 type QoS struct {
-	Period    sim.Time
-	DropAfter sim.Time // lateness budget before a frame is dropped
+	Period sim.Time
 
 	released  int
 	completed int
 	violated  int
 	dropped   int
 	expired   int
-	failed    int
 
 	totalFlow sim.Time
 	maxFlow   sim.Time
@@ -27,10 +26,9 @@ type QoS struct {
 	flowDist  stats.Sample
 }
 
-// NewQoS builds a tracker for the given period; frames more than one
-// period late are dropped by default.
+// NewQoS builds a tracker for the given period.
 func NewQoS(period sim.Time) *QoS {
-	return &QoS{Period: period, DropAfter: period}
+	return &QoS{Period: period}
 }
 
 // Deadline returns the absolute deadline of a frame released at r.
@@ -76,13 +74,7 @@ func (q *QoS) Expired() {
 // Failed records a released frame the driver's recovery layer abandoned
 // after exhausting its retries. Like Expired it counts as a violation
 // without counting as a completion.
-func (q *QoS) Failed() {
-	q.violated++
-	q.failed++
-}
-
-// FailedFrames reports frames abandoned by the recovery layer.
-func (q *QoS) FailedFrames() int { return q.failed }
+func (q *QoS) Failed() { q.violated++ }
 
 // Frames reports how many frames were offered (completed + dropped +
 // in flight).

@@ -113,72 +113,6 @@ type Options struct {
 	// OnMetricsSample, when non-nil, runs after every sampler tick — the
 	// live /metrics endpoint publishes snapshots from this hook.
 	OnMetricsSample func(*metrics.Sampler)
-	// Recovery configures the driver-level fault recovery layer.
-	Recovery Recovery
-}
-
-// Recovery configures the driver's fault detection and recovery: frame
-// timeouts, bounded retries with backoff over the DRAM-staged path, and
-// graceful degradation of repeatedly-faulting flows. The zero value
-// disables the layer entirely (no timers are armed).
-type Recovery struct {
-	// Enabled arms the layer. Every recovery action costs real CPU
-	// instructions, interrupts and energy through the normal driver
-	// cost model.
-	Enabled bool
-	// FrameTimeout is the slack past a frame's deadline before the
-	// driver declares it stuck, aborts its in-flight stage jobs and
-	// resubmits it via the DRAM-staged baseline path. Zero means one
-	// flow period (so detection fires two periods after release).
-	FrameTimeout sim.Time
-	// MaxRetries bounds resubmissions per frame; a frame that times out
-	// again after MaxRetries retries is abandoned and counted as failed.
-	// Zero means 2.
-	MaxRetries int
-	// Backoff delays the first resubmission and doubles per attempt.
-	// Zero means 250 us.
-	Backoff sim.Time
-	// DegradeAfter falls a flow back from the chained (VIP/IP-to-IP)
-	// path to the per-frame Baseline DRAM-staged path after this many
-	// frame timeouts — trading energy for liveness on a faulty chain.
-	// Zero means 4; negative disables degradation.
-	DegradeAfter int
-}
-
-// frameTimeout resolves the detection slack for a flow period.
-func (rc Recovery) frameTimeout(period sim.Time) sim.Time {
-	if rc.FrameTimeout > 0 {
-		return rc.FrameTimeout
-	}
-	return period
-}
-
-// maxRetries resolves the retry bound.
-func (rc Recovery) maxRetries() int {
-	if rc.MaxRetries > 0 {
-		return rc.MaxRetries
-	}
-	return 2
-}
-
-// backoff resolves the first-retry delay.
-func (rc Recovery) backoff() sim.Time {
-	if rc.Backoff > 0 {
-		return rc.Backoff
-	}
-	return 250 * sim.Microsecond
-}
-
-// degradeAfter resolves the degradation threshold (<= 0 disables when
-// negative).
-func (rc Recovery) degradeAfter() int {
-	if rc.DegradeAfter < 0 {
-		return 0
-	}
-	if rc.DegradeAfter == 0 {
-		return 4
-	}
-	return rc.DegradeAfter
 }
 
 // DefaultOptions returns options matching the paper's evaluation setup.
@@ -208,12 +142,6 @@ func (o Options) validate() error {
 	}
 	if o.MaxBacklog <= 0 {
 		return fmt.Errorf("core: max backlog must be positive")
-	}
-	if o.Recovery.FrameTimeout < 0 || o.Recovery.Backoff < 0 {
-		return fmt.Errorf("core: recovery timeout/backoff must be non-negative")
-	}
-	if o.Recovery.MaxRetries < 0 {
-		return fmt.Errorf("core: recovery max retries must be non-negative")
 	}
 	return nil
 }

@@ -6,16 +6,29 @@ import (
 	"github.com/vipsim/vip/internal/sim"
 )
 
-// Driver-level fault recovery: per-frame timeouts, bounded retries with
-// exponential backoff over the DRAM-staged baseline path, lane
-// reallocation away from quarantined lanes, and graceful degradation of
-// repeatedly-faulting flows. Every action here costs real CPU time,
-// interrupts and energy through the normal driver cost model — recovery
-// is never free.
+// Driver-level fault recovery, armed by platform.Config.Recovery:
+// per-frame timeouts, bounded retries with exponential backoff over the
+// DRAM-staged baseline path, lane reallocation away from quarantined
+// lanes, and graceful degradation of repeatedly-faulting flows. Every
+// action here costs real CPU time, interrupts and energy through the
+// normal driver cost model — recovery is never free.
+
+// The driver's recovery policy. A frame is declared stuck one flow
+// period past its deadline (two periods after release); it is then
+// resubmitted up to retryLimit times, the first retry retryDelay later
+// and each further one twice as late; and after degradeTimeouts frame
+// timeouts a chained flow falls back to the per-frame Baseline path,
+// trading energy for liveness on a faulty chain.
+const (
+	retryLimit      = 2
+	retryDelay      = 250 * sim.Microsecond
+	degradeTimeouts = 4
+)
 
 // armFrameTimeout schedules the stuck-frame check for one released (or
-// resubmitted) frame. Timeouts past the end of the run are not armed;
-// end-of-run expiry accounts for those frames.
+// resubmitted) frame; callers pass two periods after the (re)submission,
+// one period past its deadline. Timeouts past the end of the run are not
+// armed; end-of-run expiry accounts for those frames.
 func (r *Runner) armFrameTimeout(fs *flowState, frame int, at sim.Time) {
 	if at >= r.opts.Duration {
 		return
@@ -32,7 +45,6 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 	if _, ok := fs.unfinished[frame]; !ok {
 		return
 	}
-	rec := r.opts.Recovery
 	fs.faults++
 	r.frameTimeouts++
 	r.mFrameTimeouts.Inc()
@@ -41,7 +53,7 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 	}
 	r.spans.Detour(fs.track, frame, "timeout", r.p.Eng.Now())
 	attempt := fs.attempts[frame]
-	if attempt >= rec.maxRetries() {
+	if attempt >= retryLimit {
 		r.failFrame(fs, frame)
 		return
 	}
@@ -49,8 +61,7 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 	r.frameRetries++
 	r.mFrameRetries.Inc()
 	r.abortFrameJobs(fs, frame)
-	if !fs.degraded && r.p.Mode().Chained() &&
-		rec.degradeAfter() > 0 && fs.faults >= rec.degradeAfter() {
+	if !fs.degraded && r.p.Mode().Chained() && fs.faults >= degradeTimeouts {
 		// The chain keeps faulting: future frames of this flow take the
 		// per-frame DRAM-staged path (trading energy for liveness).
 		fs.degraded = true
@@ -61,7 +72,7 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 		}
 		r.spans.Detour(fs.track, frame, "degrade", r.p.Eng.Now())
 	}
-	backoff := rec.backoff() << attempt
+	backoff := retryDelay << attempt
 	// Detection runs in a timer ISR, then the driver resubmits after the
 	// backoff. The baseline path works in every mode because the DRAM
 	// rings are always allocated.
@@ -72,8 +83,7 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 			}
 			r.spans.Detour(fs.track, frame, "retry", r.p.Eng.Now())
 			r.baselineStage(fs, frame, 0)
-			r.armFrameTimeout(fs, frame,
-				r.p.Eng.Now()+fs.period+rec.frameTimeout(fs.period))
+			r.armFrameTimeout(fs, frame, r.p.Eng.Now()+2*fs.period)
 		})
 	})
 }

@@ -148,7 +148,7 @@ type FaultReport struct {
 // recovery-free run.
 func (r *Runner) buildFaultReport(rep *Report) *FaultReport {
 	inj := r.p.Injector()
-	if inj == nil && !r.opts.Recovery.Enabled {
+	if inj == nil && !r.recovery {
 		return nil
 	}
 	fr := &FaultReport{

@@ -19,8 +19,10 @@ import (
 type Runner struct {
 	p    *platform.Platform
 	opts Options
-	apps []app.Spec
-	cm   *chainManager
+	// recovery is the platform's Recovery switch (see recovery.go).
+	recovery bool
+	apps     []app.Spec
+	cm       *chainManager
 
 	flows     []*flowState
 	rollbacks int
@@ -110,7 +112,8 @@ func NewRunner(p *platform.Platform, apps []app.Spec, opts Options) (*Runner, er
 	if len(apps) == 0 {
 		return nil, fmt.Errorf("core: no applications")
 	}
-	r := &Runner{p: p, opts: opts, apps: apps, cm: newChainManager(p), spans: p.Spans(), phases: p.Spans().Phases()}
+	r := &Runner{p: p, opts: opts, recovery: p.Config().Recovery, apps: apps, cm: newChainManager(p),
+		spans: p.Spans(), phases: p.Spans().Phases()}
 	// Counter/distribution handles are nil-safe: on a platform without a
 	// registry they are nil and every increment is a no-op.
 	reg := p.Metrics()
@@ -120,7 +123,7 @@ func NewRunner(p *platform.Platform, apps []app.Spec, opts Options) (*Runner, er
 	r.mViolations = reg.Counter("qos.violations_total")
 	r.mRollbacks = reg.Counter("game.rollbacks_total")
 	r.dFlowTimeMS = reg.Distribution("flow.time_ms")
-	if p.Injector() != nil || opts.Recovery.Enabled {
+	if p.Injector() != nil || r.recovery {
 		r.mFrameTimeouts = reg.Counter("fault.frame_timeouts_total")
 		r.mFrameRetries = reg.Counter("fault.frame_retries_total")
 		r.mFramesFailed = reg.Counter("fault.frames_failed_total")
@@ -145,7 +148,7 @@ func NewRunner(p *platform.Platform, apps []app.Spec, opts Options) (*Runner, er
 				firstJob:   make(map[int]*ipcore.Job),
 			}
 			fs.track = fmt.Sprintf("flow%d:%s/%s", fs.id, a.ID, f.Name)
-			if opts.Recovery.Enabled {
+			if r.recovery {
 				fs.jobs = make(map[int][]trackedJob)
 				fs.attempts = make(map[int]int)
 			}
@@ -159,7 +162,7 @@ func NewRunner(p *platform.Platform, apps []app.Spec, opts Options) (*Runner, er
 			r.flows = append(r.flows, fs)
 		}
 	}
-	if opts.Recovery.Enabled {
+	if r.recovery {
 		// Hardware quarantine notifications flow back into the driver:
 		// reallocate lanes and retry the stranded frames.
 		for _, k := range p.Kinds() {
@@ -311,9 +314,8 @@ func (r *Runner) releaseGroup(fs *flowState) {
 		fs.unfinished[i] = fs.releaseTime(i)
 		r.spans.FrameSubmit(fs.track, i, fs.releaseTime(i))
 		frames = append(frames, i)
-		if r.opts.Recovery.Enabled {
-			r.armFrameTimeout(fs, i,
-				fs.releaseTime(i)+fs.period+r.opts.Recovery.frameTimeout(fs.period))
+		if r.recovery {
+			r.armFrameTimeout(fs, i, fs.releaseTime(i)+2*fs.period)
 		}
 	}
 	fs.nextRelease = first + b
@@ -446,7 +448,7 @@ func (r *Runner) makeJob(fs *flowState, frame, s int, chained bool) *ipcore.Job 
 // submitJob queues a stage job on its IP's lane for this flow.
 func (r *Runner) submitJob(fs *flowState, s int, j *ipcore.Job) {
 	kind := fs.spec.Stages[s].Kind
-	if r.opts.Recovery.Enabled {
+	if r.recovery {
 		fs.jobs[j.Frame] = append(fs.jobs[j.Frame], trackedJob{kind: kind, job: j})
 	}
 	if err := r.p.IP(kind).Submit(fs.chain.Lanes[s], j); err != nil {

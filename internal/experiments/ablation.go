@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/vipsim/vip/internal/app"
 	"github.com/vipsim/vip/internal/core"
 	"github.com/vipsim/vip/internal/ipcore"
 	"github.com/vipsim/vip/internal/parallel"
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/internal/stats"
-	"github.com/vipsim/vip/internal/workload"
 )
 
 // This file holds the ablation studies over VIP's design choices that the
@@ -21,32 +19,19 @@ import (
 // burst size (§4.3 uses 5), the lane context-switch cost, and the
 // sub-frame granularity (§5.5 uses 1 KB).
 
-// runCustom builds a platform with cfg mutations applied, runs the apps,
-// and returns the report.
-func runCustom(appIDs []string, dur sim.Time, mutPlat func(*platform.Config), mutOpts func(*core.Options)) (*core.Report, error) {
-	var specs []app.Spec
-	for _, id := range appIDs {
-		a, err := workload.App(id)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, a)
-	}
+// runCustom runs the apps and workloads that ids name on a VIP platform
+// with the mutations applied, and returns the report.
+func runCustom(ids []string, dur sim.Time, mutPlat func(*platform.Config), mutOpts func(*core.Options)) (*core.Report, error) {
 	pcfg := platform.DefaultConfig(platform.VIP)
 	if mutPlat != nil {
 		mutPlat(&pcfg)
 	}
-	p := platform.New(pcfg)
 	opts := core.DefaultOptions(platform.VIP)
 	opts.Duration = dur
 	if mutOpts != nil {
 		mutOpts(&opts)
 	}
-	r, err := core.NewRunner(p, specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run()
+	return simulate(pcfg, opts, ids, 0)
 }
 
 // runCustomAll fans one runCustom call per index out on the parallel
@@ -91,13 +76,9 @@ func RunSchedulerStudy(workloadID string, dur sim.Time) (*SchedulerStudy, error)
 	if workloadID == "" {
 		workloadID = "W1"
 	}
-	w, err := workload.ByID(workloadID)
-	if err != nil {
-		return nil, err
-	}
 	st := &SchedulerStudy{Workload: workloadID}
 	policies := []ipcore.Policy{ipcore.EDF, ipcore.RR, ipcore.Priority}
-	reps, err := runCustomAll(len(policies), w.AppIDs, dur,
+	reps, err := runCustomAll(len(policies), []string{workloadID}, dur,
 		func(i int, c *platform.Config) { c.VIPPolicy = policies[i] }, nil)
 	if err != nil {
 		return nil, err

@@ -1,9 +1,11 @@
 package experiments
 
-// Result reuse: the experiment runner can share vipserve's
-// content-addressed result cache, so ablation grids (figure sweeps,
-// buffer-sizing studies, fault matrices) skip cells an earlier run — or
-// a vipserve instance pointed at the same directory — already simulated.
+// Result reuse: the experiment runner keeps its results in the same
+// content-addressed cache that vipserve uses, so ablation grids (figure
+// sweeps, buffer-sizing studies, fault matrices) skip cells an earlier
+// run already simulated. A cell's key is its experiments.Config/v1
+// encoding, not vipserve's vip.Scenario/v1 one, so a vipserve pointed at
+// the same directory neither reuses nor collides with these entries.
 // Reuse is sound for the same reason vipserve's replay is: every run is
 // seed-deterministic, reports round-trip through JSON (the host-profile
 // fields excluded from JSON are exactly the ones no table or figure

@@ -23,7 +23,9 @@ import (
 
 // Config describes one simulation run of a scenario.
 type Config struct {
-	Mode   platform.Mode
+	Mode platform.Mode
+	// AppIDs lists Table 1 app and Table 2 workload ids, expanded by
+	// workload.Expand; the cache key encodes them as given.
 	AppIDs []string
 	// Duration is the simulated time (default 400 ms).
 	Duration sim.Time
@@ -39,8 +41,8 @@ type Config struct {
 	Seed uint64
 	// Faults, when enabled, injects the configured fault mix.
 	Faults fault.Config
-	// Recovery arms the watchdog/retry/quarantine stack (only meaningful
-	// with Faults enabled).
+	// Recovery arms the watchdog/retry/quarantine stack (see
+	// platform.Config.Recovery; only meaningful with Faults enabled).
 	Recovery bool
 }
 
@@ -63,19 +65,6 @@ func Run(cfg Config) (*core.Report, error) {
 
 // runUncached always simulates; cfg has its defaults filled.
 func runUncached(cfg Config) (*core.Report, error) {
-	specs := make([]app.Spec, 0, len(cfg.AppIDs))
-	for _, id := range cfg.AppIDs {
-		a, err := workload.App(id)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.FPSOverride > 0 {
-			for i := range a.Flows {
-				a.Flows[i].FPS = cfg.FPSOverride
-			}
-		}
-		specs = append(specs, a)
-	}
 	pcfg := platform.DefaultConfig(cfg.Mode)
 	if cfg.IdealMemory {
 		pcfg.DRAM.Ideal = true
@@ -83,25 +72,39 @@ func runUncached(cfg Config) (*core.Report, error) {
 	if cfg.LaneBufBytes > 0 {
 		pcfg.LaneBufBytes = cfg.LaneBufBytes
 	}
+	if cfg.Faults.Enabled() {
+		pcfg.Faults = cfg.Faults
+		pcfg.Recovery = cfg.Recovery
+	}
 	opts := core.DefaultOptions(cfg.Mode)
 	opts.Duration = cfg.Duration
 	opts.Seed = cfg.Seed
 	if cfg.BurstSize > 0 {
 		opts.BurstSize = cfg.BurstSize
 	}
-	if cfg.Faults.Enabled() {
-		pcfg.Faults = cfg.Faults
-		if cfg.Recovery {
-			// Same recovery defaults as the public vip facade.
-			pcfg.Watchdog = 5 * sim.Millisecond
-			pcfg.ResetLatency = 50 * sim.Microsecond
-			pcfg.QuarantineAfter = 2
-			pcfg.RepairLatency = 20 * sim.Millisecond
-			opts.Recovery.Enabled = true
+	return simulate(pcfg, opts, cfg.AppIDs, cfg.FPSOverride)
+}
+
+// simulate runs the apps and workloads that ids name (see
+// workload.Expand) on a platform built from pcfg. A positive fps
+// retargets every flow.
+func simulate(pcfg platform.Config, opts core.Options, ids []string, fps float64) (*core.Report, error) {
+	ids, err := workload.Expand(ids)
+	if err != nil {
+		return nil, err
+	}
+	specs := make([]app.Spec, len(ids))
+	for i, id := range ids {
+		if specs[i], err = workload.App(id); err != nil {
+			return nil, err
+		}
+		if fps > 0 {
+			for f := range specs[i].Flows {
+				specs[i].Flows[f].FPS = fps
+			}
 		}
 	}
-	p := platform.New(pcfg)
-	r, err := core.NewRunner(p, specs, opts)
+	r, err := core.NewRunner(platform.New(pcfg), specs, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -107,24 +107,30 @@ type Config struct {
 	// slowdowns, and flow-control credit losses on its lanes.
 	Injector *fault.Injector
 
-	// Watchdog, when positive, arms a per-lane watchdog timer whenever a
-	// lane hangs: if the hang persists for Watchdog, the core pulses a
-	// lane reset (taking ResetLatency). A reset clears a transient hang;
-	// a permanent hang survives, and after QuarantineAfter consecutive
-	// failed resets the lane is quarantined — taken out of service, its
-	// stranded jobs handed to the driver's lane-fault handler, and
-	// repaired (reinitialised) after RepairLatency.
-	Watchdog        sim.Time
-	ResetLatency    sim.Time
-	QuarantineAfter int
-	RepairLatency   sim.Time
+	// Recovery arms the hardware fault recovery of every lane: a lane
+	// hung for watchdogPeriod gets a reset pulse lasting resetTime. A
+	// reset clears a transient hang; a permanent hang survives, and
+	// after quarantineResets failed resets the lane is quarantined —
+	// taken out of service, its stranded jobs handed to the driver's
+	// lane-fault handler — and repaired after repairTime.
+	Recovery bool
 }
+
+// The hardware recovery policy that Config.Recovery arms: watchdogs
+// fire well past any healthy job, two failed resets quarantine a lane,
+// and a quarantined lane comes back after a lengthy repair.
+const (
+	watchdogPeriod   = 5 * sim.Millisecond
+	resetTime        = 50 * sim.Microsecond
+	quarantineResets = 2
+	repairTime       = 20 * sim.Millisecond
+)
 
 // faultEnabled reports whether any fault machinery (injection or
 // watchdog recovery) is active; fault metrics register only then so that
 // fault-free runs keep byte-identical outputs.
 func (c Config) faultEnabled() bool {
-	return c.Injector.Enabled() || c.Watchdog > 0
+	return c.Injector.Enabled() || c.Recovery
 }
 
 func (c Config) validate() error {
@@ -145,12 +151,6 @@ func (c Config) validate() error {
 	}
 	if c.MaxWrites <= 0 || c.Prefetch <= 0 {
 		return fmt.Errorf("ipcore: %s pipelining depths must be positive", c.Name)
-	}
-	if c.Watchdog < 0 || c.ResetLatency < 0 || c.RepairLatency < 0 {
-		return fmt.Errorf("ipcore: %s fault-recovery latencies must be non-negative", c.Name)
-	}
-	if c.QuarantineAfter < 0 {
-		return fmt.Errorf("ipcore: %s QuarantineAfter must be non-negative", c.Name)
 	}
 	return nil
 }
@@ -177,7 +177,7 @@ type Stats struct {
 	BytesOut  uint64
 	CtxSwitch uint64
 
-	// Fault/recovery activity (zero when no injector or watchdog;
+	// Fault/recovery activity (zero without an injector or Recovery;
 	// omitted from JSON then, keeping fault-free reports bit-identical).
 	Hangs         uint64   `json:",omitempty"` // injected lane hangs observed
 	WatchdogFires uint64   `json:",omitempty"` // watchdog expiries on hung lanes
@@ -341,10 +341,6 @@ func (c *Core) Lanes() int { return len(c.lanes) }
 // Stats returns the accumulated statistics (phase times are accrued up to
 // the last transition; call FinalizeAccounting first for exact totals).
 func (c *Core) Stats() Stats { return c.stats }
-
-// Nudge asks the core to re-run its scheduler; external components call
-// it when a condition the core is waiting on may have changed.
-func (c *Core) Nudge() { c.kick() }
 
 // Ungate releases a gated job and reschedules the core.
 func (c *Core) Ungate(j *Job) {
@@ -1003,8 +999,8 @@ func (c *Core) startHang(l *Lane, h fault.Hang) {
 			}
 		})
 	}
-	if c.cfg.Watchdog > 0 {
-		c.eng.After(c.cfg.Watchdog, func() { c.watchdogFire(l, gen) })
+	if c.cfg.Recovery {
+		c.eng.After(watchdogPeriod, func() { c.watchdogFire(l, gen) })
 	}
 }
 
@@ -1026,7 +1022,7 @@ func (c *Core) watchdogFire(l *Lane, gen uint64) {
 		return // hang self-cleared before the watchdog expired
 	}
 	c.stats.WatchdogFires++
-	c.eng.After(c.cfg.ResetLatency, func() {
+	c.eng.After(resetTime, func() {
 		if l.hangGen != gen || !l.hung {
 			return
 		}
@@ -1036,11 +1032,11 @@ func (c *Core) watchdogFire(l *Lane, gen uint64) {
 			c.clearHang(l)
 			return
 		}
-		if c.cfg.QuarantineAfter > 0 && l.resets >= c.cfg.QuarantineAfter {
+		if l.resets >= quarantineResets {
 			c.quarantineLane(l)
 			return
 		}
-		c.eng.After(c.cfg.Watchdog, func() { c.watchdogFire(l, gen) })
+		c.eng.After(watchdogPeriod, func() { c.watchdogFire(l, gen) })
 	})
 }
 
@@ -1066,14 +1062,12 @@ func (c *Core) quarantineLane(l *Lane) {
 	if c.onLaneFault != nil {
 		c.onLaneFault(l.idx, stranded)
 	}
-	if c.cfg.RepairLatency > 0 {
-		c.eng.After(c.cfg.RepairLatency, func() {
-			c.stats.Repairs++
-			l.quarantined = false
-			l.resets = 0
-			c.kick()
-		})
-	}
+	c.eng.After(repairTime, func() {
+		c.stats.Repairs++
+		l.quarantined = false
+		l.resets = 0
+		c.kick()
+	})
 }
 
 // recordRecovery accounts one hang episode's outage duration.

@@ -10,10 +10,11 @@ import (
 
 // hangInjector draws lane hangs at the given rate (1 = every compute
 // start; note a rate-1 transient injector re-hangs on every retry, so
-// completion tests must use rate < 1).
+// completion tests must use rate < 1). A transient hang lasts ten
+// watchdog periods on average, so the watchdog clears most of them.
 func hangInjector(t *testing.T, rate float64, permanent bool) *fault.Injector {
 	t.Helper()
-	cfg := fault.Config{Seed: 7, LaneHangMean: sim.Millisecond}
+	cfg := fault.Config{Seed: 7, LaneHangMean: 10 * watchdogPeriod}
 	if permanent {
 		cfg.PermanentRate = rate
 	} else {
@@ -39,8 +40,7 @@ func TestWatchdogClearsTransientHang(t *testing.T) {
 	cfg := testConfig("vd")
 	// Rate 0.5: the job hangs on some retries but completes eventually.
 	cfg.Injector = hangInjector(t, 0.5, false)
-	cfg.Watchdog = 100 * sim.Microsecond
-	cfg.ResetLatency = 10 * sim.Microsecond
+	cfg.Recovery = true
 	c := r.newCore(cfg)
 
 	// A batch of jobs: at rate 0.5 some draws hang, and every hang must
@@ -54,7 +54,7 @@ func TestWatchdogClearsTransientHang(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.eng.Run(100 * sim.Millisecond)
+	r.eng.Run(sim.Second)
 	if done != n {
 		t.Fatalf("only %d/%d jobs completed past transient hangs", done, n)
 	}
@@ -71,16 +71,13 @@ func TestWatchdogClearsTransientHang(t *testing.T) {
 }
 
 // TestPermanentHangQuarantines: permanent hangs survive lane resets, so
-// after QuarantineAfter failed resets the lane is fenced off and the
+// after quarantineResets failed resets the lane is fenced off and the
 // fault handler receives the stranded jobs; repair brings it back.
 func TestPermanentHangQuarantines(t *testing.T) {
 	r := newRig()
 	cfg := testConfig("vd")
 	cfg.Injector = hangInjector(t, 1, true)
-	cfg.Watchdog = 100 * sim.Microsecond
-	cfg.ResetLatency = 10 * sim.Microsecond
-	cfg.QuarantineAfter = 2
-	cfg.RepairLatency = 5 * sim.Millisecond
+	cfg.Recovery = true
 	c := r.newCore(cfg)
 
 	var gotLane = -1
@@ -99,10 +96,16 @@ func TestPermanentHangQuarantines(t *testing.T) {
 	if err := c.Submit(0, j); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run(4 * sim.Millisecond)
+	// The hang starts within a millisecond of submission; each failed
+	// reset takes one watchdog period plus the reset pulse.
+	quarantined := quarantineResets*(watchdogPeriod+resetTime) + sim.Millisecond
+	r.eng.Run(quarantined)
 	st := c.Stats()
 	if st.Quarantines == 0 {
 		t.Fatalf("lane never quarantined: %+v", st)
+	}
+	if st.WatchdogFires != quarantineResets || st.LaneResets != quarantineResets {
+		t.Errorf("quarantined after %d fires/%d resets, want %d each", st.WatchdogFires, st.LaneResets, quarantineResets)
 	}
 	if gotLane != 0 {
 		t.Errorf("fault handler got lane %d, want 0", gotLane)
@@ -113,7 +116,7 @@ func TestPermanentHangQuarantines(t *testing.T) {
 	if !c.Lane(0).Quarantined() {
 		t.Error("lane should still be quarantined before repair")
 	}
-	r.eng.Run(20 * sim.Millisecond)
+	r.eng.Run(quarantined + repairTime)
 	if c.Lane(0).Quarantined() {
 		t.Error("lane not repaired")
 	}
@@ -127,9 +130,9 @@ func TestPermanentHangQuarantines(t *testing.T) {
 func TestAbortReleasesLane(t *testing.T) {
 	r := newRig()
 	cfg := testConfig("vd")
-	// Rate-1 permanent hangs; the driver-level abort is the only rescue.
+	// Rate-1 permanent hangs and Recovery off: no watchdog, so the
+	// driver-level abort is the only rescue.
 	cfg.Injector = hangInjector(t, 1, true)
-	cfg.Watchdog = 0 // no watchdog: driver-level abort is the only rescue
 	c := r.newCore(cfg)
 
 	j1 := dramJob("a0")

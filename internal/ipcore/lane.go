@@ -75,9 +75,6 @@ func (l *Lane) head() *Job {
 	return l.jobs[0]
 }
 
-// Hung reports whether the lane is currently hung on an injected fault.
-func (l *Lane) Hung() bool { return l.hung }
-
 // Quarantined reports whether the lane is out of service pending repair.
 func (l *Lane) Quarantined() bool { return l.quarantined }
 

@@ -142,14 +142,11 @@ type Config struct {
 	// build.
 	Faults fault.Config
 
-	// Hardware fault recovery: Watchdog > 0 arms a per-lane watchdog on
-	// every IP that resets a hung lane after Watchdog (paying
-	// ResetLatency); after QuarantineAfter consecutive failed resets the
-	// lane is quarantined and repaired after RepairLatency.
-	Watchdog        sim.Time
-	ResetLatency    sim.Time
-	QuarantineAfter int
-	RepairLatency   sim.Time
+	// Recovery arms the fault-recovery stack: a watchdog on every IP lane
+	// with reset, quarantine and repair (internal/ipcore), and the
+	// driver's frame timeouts, retries and chain degradation
+	// (internal/core). Each layer owns its fixed policy.
+	Recovery bool
 }
 
 // DefaultConfig returns the Table 3 platform in the given mode.
@@ -196,9 +193,6 @@ func (c Config) validate() error {
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
-	}
-	if c.Watchdog < 0 || c.ResetLatency < 0 || c.RepairLatency < 0 || c.QuarantineAfter < 0 {
-		return fmt.Errorf("platform: fault-recovery parameters must be non-negative")
 	}
 	return nil
 }
@@ -282,13 +276,8 @@ func New(cfg Config) *Platform {
 			IdleW:         prm.ActiveW*cfg.IdlePowerFrac + 0.0005,
 			Metrics:       cfg.Metrics,
 			Spans:         cfg.Spans,
-		}
-		if inj != nil || cfg.Watchdog > 0 {
-			ipCfg.Injector = inj
-			ipCfg.Watchdog = cfg.Watchdog
-			ipCfg.ResetLatency = cfg.ResetLatency
-			ipCfg.QuarantineAfter = cfg.QuarantineAfter
-			ipCfg.RepairLatency = cfg.RepairLatency
+			Injector:      inj,
+			Recovery:      cfg.Recovery,
 		}
 		if cfg.Mode.Virtualized() {
 			ipCfg.Lanes = cfg.VIPLanes

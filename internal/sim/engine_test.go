@@ -73,15 +73,6 @@ func TestBytesOver(t *testing.T) {
 	}
 }
 
-func TestMinMaxTime(t *testing.T) {
-	if MinTime(1, 2) != 1 || MinTime(2, 1) != 1 {
-		t.Error("MinTime wrong")
-	}
-	if MaxTime(1, 2) != 2 || MaxTime(2, 1) != 2 {
-		t.Error("MaxTime wrong")
-	}
-}
-
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int

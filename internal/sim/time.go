@@ -63,19 +63,3 @@ func BytesOver(n int64, bytesPerSecond float64) Time {
 	}
 	return Time(float64(n) / bytesPerSecond * float64(Second))
 }
-
-// MinTime returns the smaller of a and b.
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxTime returns the larger of a and b.
-func MaxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}

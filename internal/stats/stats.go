@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit the experiment
 // harness uses: streaming moments, exact percentiles over bounded sample
-// sets, and fixed-width histograms. QoS argumentation lives in the tail
+// sets, and Jain's fairness index. QoS argumentation lives in the tail
 // of the latency distribution (a 99th-percentile frame is a visible
 // stutter), so reports carry p95/p99 flow times alongside means.
 package stats
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample accumulates observations and answers moment and percentile
@@ -142,72 +141,4 @@ func JainIndex(xs []float64) float64 {
 		return 1
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi); values outside the
-// range clamp into the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	n      int
-}
-
-// NewHistogram builds a histogram with the given bounds and bin count.
-// It panics on a non-positive bin count or an empty range (programming
-// error).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: bad histogram spec [%g,%g)x%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	// Clamp in float space: converting ±Inf (or anything outside int's
-	// range) to int is an undefined conversion in Go, so the bin index
-	// must be bounded before the int() cast, not after.
-	pos := (v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts))
-	var idx int
-	switch {
-	case !(pos > 0): // negative, -Inf, or NaN from a degenerate Lo==Hi range
-		idx = 0
-	case pos >= float64(len(h.Counts)):
-		idx = len(h.Counts) - 1
-	default:
-		idx = int(pos)
-	}
-	h.Counts[idx]++
-	h.n++
-}
-
-// N reports the total observations.
-func (h *Histogram) N() int { return h.n }
-
-// Frac reports bin i's fraction of all observations.
-func (h *Histogram) Frac(i int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.n)
-}
-
-// BinLabel renders bin i's range, e.g. "[0.2, 0.4)".
-func (h *Histogram) BinLabel(i int) string {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return fmt.Sprintf("[%.3g, %.3g)", h.Lo+float64(i)*w, h.Lo+float64(i+1)*w)
-}
-
-// String renders the histogram one bin per line with # bars.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	for i := range h.Counts {
-		frac := h.Frac(i)
-		bar := strings.Repeat("#", int(frac*50))
-		fmt.Fprintf(&b, "%-16s %6.1f%% %s\n", h.BinLabel(i), frac*100, bar)
-	}
-	return b.String()
 }

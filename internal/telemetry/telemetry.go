@@ -70,18 +70,6 @@ type Recorder struct {
 // NewRecorder returns an empty recorder of the span log alone.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Enabled reports whether spans are being recorded; emission sites that
-// need to build attributes can skip the work when it returns false.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// Len reports the number of recorded spans, less the phase category.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.spans)
-}
-
 // Emit records one span. No-op on a nil recorder or negative duration.
 func (r *Recorder) Emit(s Span) {
 	if r == nil || s.Dur < 0 {

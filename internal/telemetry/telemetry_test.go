@@ -13,9 +13,6 @@ import (
 // nil recorder unconditionally, so every method must be safe on nil.
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Error("nil recorder reports Enabled")
-	}
 	r.Emit(Span{Track: "t", Name: "x"})
 	r.Instant("t", "c", "x", 0)
 	r.FrameSubmit("t", 0, 0)
@@ -24,7 +21,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.FrameExpired("t", 0, 0)
 	r.Detour("t", 0, "timeout", 0)
 	r.Hop("VD", 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 1)
-	if r.Len() != 0 || r.Spans() != nil {
+	if r.Spans() != nil {
 		t.Error("nil recorder recorded something")
 	}
 	var buf bytes.Buffer

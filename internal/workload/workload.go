@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/vipsim/vip/internal/app"
 	"github.com/vipsim/vip/internal/ipcore"
@@ -86,17 +87,20 @@ func cameraEncodeFlow(name string, sink ipcore.Kind) app.Flow {
 	}
 }
 
-// Apps returns the Table 1 applications keyed by their identifier.
-func Apps() map[string]app.Spec {
-	return map[string]app.Spec{
-		"A1": {
+// table1 builds the Table 1 applications, keyed by identifier. Each
+// call builds a fresh copy, and App builds only the one it is asked for.
+var table1 = map[string]func() app.Spec{
+	"A1": func() app.Spec {
+		return app.Spec{
 			ID: "A1", Name: "Game-1", Class: app.ClassGame, Touch: app.TouchTap,
 			Flows: []app.Flow{
 				gameRenderFlow("gpu-dc"),
 				audioPlaybackFlow("ad-snd"),
 			},
-		},
-		"A2": {
+		}
+	},
+	"A2": func() app.Spec {
+		return app.Spec{
 			ID: "A2", Name: "AR-Game", Class: app.ClassGame, Touch: app.TouchFlick,
 			Flows: []app.Flow{
 				gameRenderFlow("gpu-dc"),
@@ -112,8 +116,10 @@ func Apps() map[string]app.Spec {
 				audioPlaybackFlow("ad-snd"),
 				micCaptureFlow("mic-ae-nw"),
 			},
-		},
-		"A3": {
+		}
+	},
+	"A3": func() app.Spec {
+		return app.Spec{
 			ID: "A3", Name: "Audio-Play", Class: app.ClassAudio, GOP: 16,
 			Flows: []app.Flow{
 				func() app.Flow {
@@ -130,8 +136,10 @@ func Apps() map[string]app.Spec {
 					Display:      true,
 				},
 			},
-		},
-		"A4": {
+		}
+	},
+	"A4": func() app.Spec {
+		return app.Spec{
 			ID: "A4", Name: "Skype", Class: app.ClassEncode, GOP: 10,
 			Flows: []app.Flow{
 				videoPlaybackFlow("cpu-vd-dc", app.FrameHD, app.BitstreamVideoHD),
@@ -139,15 +147,19 @@ func Apps() map[string]app.Spec {
 				audioPlaybackFlow("ad-snd"),
 				micCaptureFlow("mic-ae-nw"),
 			},
-		},
-		"A5": {
+		}
+	},
+	"A5": func() app.Spec {
+		return app.Spec{
 			ID: "A5", Name: "Video Player", Class: app.ClassPlayback, GOP: 16,
 			Flows: []app.Flow{
 				videoPlaybackFlow("cpu-vd-dc", app.Frame4K, app.BitstreamVideo4K),
 				audioPlaybackFlow("ad-snd"),
 			},
-		},
-		"A6": {
+		}
+	},
+	"A6": func() app.Spec {
+		return app.Spec{
 			ID: "A6", Name: "Video Record", Class: app.ClassEncode, GOP: 10,
 			Flows: []app.Flow{
 				{
@@ -168,25 +180,39 @@ func Apps() map[string]app.Spec {
 					return f
 				}(),
 			},
-		},
-		"A7": {
+		}
+	},
+	"A7": func() app.Spec {
+		return app.Spec{
 			ID: "A7", Name: "Youtube", Class: app.ClassPlayback, GOP: 16,
 			Flows: []app.Flow{
 				videoPlaybackFlow("cpu-vd-dc", app.FrameHD, app.BitstreamVideoHD),
 				audioPlaybackFlow("ad-snd"),
 			},
-		},
+		}
+	},
+}
+
+// Apps returns the Table 1 applications keyed by their identifier.
+func Apps() map[string]app.Spec {
+	apps := make(map[string]app.Spec, len(table1))
+	for id, build := range table1 {
+		apps[id] = build()
 	}
+	return apps
 }
 
 // App returns one Table 1 application or an error for unknown ids.
 func App(id string) (app.Spec, error) {
-	a, ok := Apps()[id]
+	build, ok := table1[id]
 	if !ok {
-		return app.Spec{}, fmt.Errorf("workload: unknown application %q", id)
+		return app.Spec{}, unknownApp(id)
 	}
-	return a, nil
+	return build(), nil
 }
+
+// unknownApp is the error for an id that names no Table 1 application.
+func unknownApp(id string) error { return fmt.Errorf("workload: unknown application %q", id) }
 
 // Workload is a Table 2 multi-application mix.
 type Workload struct {
@@ -219,15 +245,25 @@ func ByID(id string) (Workload, error) {
 	return Workload{}, fmt.Errorf("workload: unknown workload %q", id)
 }
 
-// Resolve expands a workload's application ids into specs.
-func (w Workload) Resolve() ([]app.Spec, error) {
-	specs := make([]app.Spec, 0, len(w.AppIDs))
-	for _, id := range w.AppIDs {
-		a, err := App(id)
-		if err != nil {
-			return nil, err
+// Expand flattens Table 1 application ids and Table 2 workload ids into
+// the application ids a run simulates: each workload id becomes its app
+// mix in place, so order is kept. It fails on the first id that names
+// neither, and builds no spec, so hashing a scenario stays cheap.
+func Expand(ids []string) ([]string, error) {
+	out := make([]string, 0, len(ids))
+	for _, id := range ids {
+		if strings.HasPrefix(id, "W") {
+			w, err := ByID(id)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, w.AppIDs...)
+			continue
 		}
-		specs = append(specs, a)
+		if _, ok := table1[id]; !ok {
+			return nil, unknownApp(id)
+		}
+		out = append(out, id)
 	}
-	return specs, nil
+	return out, nil
 }

@@ -107,12 +107,12 @@ func TestWorkloadsTable2(t *testing.T) {
 		if len(w.AppIDs) < 2 {
 			t.Errorf("%s has %d apps, want >= 2", w.ID, len(w.AppIDs))
 		}
-		specs, err := w.Resolve()
+		ids, err := Expand([]string{w.ID})
 		if err != nil {
-			t.Errorf("%s resolve: %v", w.ID, err)
+			t.Errorf("%s expand: %v", w.ID, err)
 		}
-		if len(specs) != len(w.AppIDs) {
-			t.Errorf("%s resolved %d specs", w.ID, len(specs))
+		if len(ids) != len(w.AppIDs) {
+			t.Errorf("%s expanded to %d apps", w.ID, len(ids))
 		}
 	}
 }
@@ -132,6 +132,33 @@ func TestWorkloadPairings(t *testing.T) {
 	}
 }
 
+// TestExpand: workload ids become their app mixes in place, app ids pass
+// through, and the first unknown id of either kind is an error.
+func TestExpand(t *testing.T) {
+	got, err := Expand([]string{"A1", "W2", "A3", "W1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"A1", "A5", "A7", "A7", "A3", "A5", "A5"}
+	if len(got) != len(want) {
+		t.Fatalf("Expand = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Expand = %v, want %v", got, want)
+		}
+	}
+	for _, c := range []struct{ id, msg string }{
+		{"A99", `workload: unknown application "A99"`},
+		{"W9", `workload: unknown workload "W9"`},
+		{"", `workload: unknown application ""`},
+	} {
+		if _, err := Expand([]string{"A5", c.id}); err == nil || err.Error() != c.msg {
+			t.Errorf("Expand(%q) error = %v, want %s", c.id, err, c.msg)
+		}
+	}
+}
+
 func TestByIDUnknown(t *testing.T) {
 	if _, err := ByID("W99"); err == nil {
 		t.Error("unknown workload accepted")
@@ -141,8 +168,18 @@ func TestByIDUnknown(t *testing.T) {
 func TestSharedIPsInW1(t *testing.T) {
 	// Both A5 instances use VD and DC: contention on shared IPs is the
 	// whole point of the paper's multi-app scenario.
-	w, _ := ByID("W1")
-	specs, _ := w.Resolve()
+	ids, err := Expand([]string{"W1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []app.Spec
+	for _, id := range ids {
+		a, err := App(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, a)
+	}
 	uses := func(s app.Spec, k ipcore.Kind) bool {
 		for _, f := range s.Flows {
 			for _, st := range f.Stages {

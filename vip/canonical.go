@@ -50,9 +50,12 @@ func (sc Scenario) Canonical() ([]byte, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	apps, err := sc.canonicalApps()
+	apps, err := workload.Expand(sc.Apps)
 	if err != nil {
 		return nil, err
+	}
+	if len(apps) == 0 {
+		return nil, fmt.Errorf("vip: no applications to canonicalize")
 	}
 
 	dur := sc.Duration
@@ -113,31 +116,6 @@ func (sc Scenario) Hash() (string, error) {
 	}
 	sum := sha256.Sum256(c)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// canonicalApps expands workload ids into their app mixes and verifies
-// every id resolves, returning the flat Table 1 id sequence the
-// simulator will actually run (order preserved: app order is semantic).
-func (sc Scenario) canonicalApps() ([]string, error) {
-	out := make([]string, 0, len(sc.Apps))
-	for _, id := range sc.Apps {
-		if len(id) > 0 && id[0] == 'W' {
-			w, err := workload.ByID(id)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, w.AppIDs...)
-			continue
-		}
-		if _, err := workload.App(id); err != nil {
-			return nil, err
-		}
-		out = append(out, id)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("vip: no applications to canonicalize")
-	}
-	return out, nil
 }
 
 // canonFloat renders a float in the shortest round-trippable form, so

@@ -19,19 +19,22 @@ import (
 // entry here (the failure message prints it ready to paste).
 var goldenDigests = map[string]map[string]string{
 	"vip-engine/1": {
-		"4xA5/Baseline/report":   "3ed91656822c7c6ba3b2f54ebc89fbebd645afb4036bb15703bb9ccc94dbd9f2",
-		"4xA5/VIP/report":        "7a622cac044a9882fa3405b6e04870a1efc178835f48b6c7b11a69e1b25beadd",
-		"W4/IP-to-IP+FB/report":  "95a4ac975a618b4314cfc99758bbb2316d8e335a29f57be2bec6a15767bce35e",
-		"faulted-traced/report":  "21db4bea38743ce9c2c5de27bf9f9b26706ba359377a5eb9c73fb1fd713f2f75",
-		"faulted-traced/ts-json": "ff1670ad4652bbb67a1c525783d7581780c4d342c8c6e53a601b94b3212db7e4",
-		"faulted-traced/spans":   "9475501228a3f12bf829e526d06adbbb61ae3f731c8df16a59813e4132e719d7",
+		"4xA5/Baseline/report":      "3ed91656822c7c6ba3b2f54ebc89fbebd645afb4036bb15703bb9ccc94dbd9f2",
+		"4xA5/VIP/report":           "7a622cac044a9882fa3405b6e04870a1efc178835f48b6c7b11a69e1b25beadd",
+		"W4/IP-to-IP+FB/report":     "95a4ac975a618b4314cfc99758bbb2316d8e335a29f57be2bec6a15767bce35e",
+		"faulted-baseline/report":   "73bf8f569a1a2997ce253f4fb2b5d129aaca19990e489c967ac73da4e0358a71",
+		"faulted-norecovery/report": "deac3d6b37771bf1734dcc49640eebf894070d2bab399f8807279649b540fd6d",
+		"faulted-traced/report":     "21db4bea38743ce9c2c5de27bf9f9b26706ba359377a5eb9c73fb1fd713f2f75",
+		"faulted-traced/ts-json":    "ff1670ad4652bbb67a1c525783d7581780c4d342c8c6e53a601b94b3212db7e4",
+		"faulted-traced/spans":      "9475501228a3f12bf829e526d06adbbb61ae3f731c8df16a59813e4132e719d7",
 	},
 }
 
 // goldenRuns computes the digests goldenDigests pins: 4×A5 on Baseline
-// and on VIP, the W4 mix on IP-to-IP+FB, and the faulted, metered,
-// traced scenario of TestSameSeedByteIdentical (report, time series and
-// span log).
+// and on VIP, the W4 mix on IP-to-IP+FB, the faulted, metered, traced
+// scenario of TestSameSeedByteIdentical (report, time series and span
+// log), and the other two arms of its fault mix: recovery off on VIP,
+// and recovery on over Baseline.
 func goldenRuns(t *testing.T) map[string]string {
 	t.Helper()
 	sum := func(b []byte) string {
@@ -53,6 +56,34 @@ func goldenRuns(t *testing.T) map[string]string {
 		res, err := vip.Simulate(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", c.key, err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteReportJSON(&buf); err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		got[c.key+"/report"] = sum(buf.Bytes())
+	}
+	// The other arms of runOnce's fault mix, without metrics or spans.
+	// Each must exercise what it pins: recovery acts on Baseline too,
+	// and nothing recovers with recovery off.
+	noRecovery := vip.UniformFaults(0.02)
+	noRecovery.DisableRecovery = true
+	for _, c := range []struct {
+		key      string
+		sys      vip.System
+		faults   *vip.Faults
+		recovers bool
+	}{
+		{"faulted-norecovery", vip.SystemVIP, noRecovery, false},
+		{"faulted-baseline", vip.SystemBaseline, vip.UniformFaults(0.02), true},
+	} {
+		res, err := vip.Simulate(vip.Scenario{System: c.sys, Apps: []string{"A5", "A2", "A6"},
+			Duration: 120 * vip.Millisecond, Seed: 7, Faults: c.faults})
+		if err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		if res.FaultsInjected == 0 || (res.FrameTimeouts > 0) != c.recovers {
+			t.Errorf("%s: %d faults injected, %d frame timeouts", c.key, res.FaultsInjected, res.FrameTimeouts)
 		}
 		var buf bytes.Buffer
 		if err := res.WriteReportJSON(&buf); err != nil {

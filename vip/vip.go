@@ -43,32 +43,22 @@ import (
 	"github.com/vipsim/vip/internal/workload"
 )
 
-// System selects one of the paper's five system designs.
-type System int
+// System selects one of the paper's five system designs; it is the
+// platform's design mode (re-exported, like Duration), so its String
+// names the design as the paper's figures do.
+type System = platform.Mode
 
 // The five designs of §6.2, in the order the paper plots them.
 const (
-	SystemBaseline System = iota
-	SystemFrameBurst
-	SystemIPToIP
-	SystemIPToIPBurst
-	SystemVIP
+	SystemBaseline    = platform.Baseline
+	SystemFrameBurst  = platform.FrameBurst
+	SystemIPToIP      = platform.IPToIP
+	SystemIPToIPBurst = platform.IPToIPBurst
+	SystemVIP         = platform.VIP
 )
 
-var systemNames = [...]string{"Baseline", "FrameBurst", "IP-to-IP", "IP-to-IP+FB", "VIP"}
-
-// String names the system as the paper's figures do.
-func (s System) String() string {
-	if s < 0 || int(s) >= len(systemNames) {
-		return "System?"
-	}
-	return systemNames[s]
-}
-
 // Systems lists all five designs in plotting order.
-func Systems() []System {
-	return []System{SystemBaseline, SystemFrameBurst, SystemIPToIP, SystemIPToIPBurst, SystemVIP}
-}
+func Systems() []System { return platform.AllModes() }
 
 // ParseSystem resolves a user-facing system name (as accepted by the
 // CLI -system flags and the vipserve API) to a System. Matching is
@@ -87,23 +77,6 @@ func ParseSystem(s string) (System, error) {
 		return SystemVIP, nil
 	}
 	return 0, fmt.Errorf("vip: unknown system %q (baseline|frameburst|iptoip|iptoipburst|vip)", s)
-}
-
-// mode converts the public System to the internal platform mode.
-func (s System) mode() (platform.Mode, error) {
-	switch s {
-	case SystemBaseline:
-		return platform.Baseline, nil
-	case SystemFrameBurst:
-		return platform.FrameBurst, nil
-	case SystemIPToIP:
-		return platform.IPToIP, nil
-	case SystemIPToIPBurst:
-		return platform.IPToIPBurst, nil
-	case SystemVIP:
-		return platform.VIP, nil
-	}
-	return 0, fmt.Errorf("vip: unknown system %d", int(s))
 }
 
 // Duration is a simulated duration in nanoseconds (re-exported from the
@@ -269,8 +242,8 @@ func (f *Faults) fromConfig(cfg fault.Config) {
 // any platform state is built (negative knobs used to be silently
 // ignored; now they fail loudly).
 func (sc Scenario) validate() error {
-	if _, err := sc.System.mode(); err != nil {
-		return err
+	if sc.System < SystemBaseline || sc.System > SystemVIP {
+		return fmt.Errorf("vip: unknown system %d", int(sc.System))
 	}
 	if sc.Duration < 0 {
 		return fmt.Errorf("vip: Duration must be non-negative (got %v)", sc.Duration)
@@ -292,36 +265,17 @@ func (sc Scenario) validate() error {
 	return nil
 }
 
-// expandApps resolves app and workload ids into specs.
-func (sc Scenario) expandApps() ([]app.Spec, error) {
-	var specs []app.Spec
-	for _, id := range sc.Apps {
-		if len(id) > 0 && id[0] == 'W' {
-			w, err := workload.ByID(id)
-			if err != nil {
-				return nil, err
-			}
-			ws, err := w.Resolve()
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, ws...)
-			continue
-		}
-		a, err := workload.App(id)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, a)
-	}
-	return specs, nil
-}
-
 // Simulate runs a scenario and returns its result.
 func Simulate(sc Scenario) (*Result, error) {
-	specs, err := sc.expandApps()
+	ids, err := workload.Expand(sc.Apps)
 	if err != nil {
 		return nil, err
+	}
+	specs := make([]app.Spec, len(ids))
+	for i, id := range ids {
+		if specs[i], err = workload.App(id); err != nil {
+			return nil, err
+		}
 	}
 	return SimulateApps(sc, specs...)
 }
@@ -335,11 +289,7 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	mode, err := sc.System.mode()
-	if err != nil {
-		return nil, err
-	}
-	pcfg := platform.DefaultConfig(mode)
+	pcfg := platform.DefaultConfig(sc.System)
 	if sc.IdealMemory {
 		pcfg.DRAM.Ideal = true
 	}
@@ -357,7 +307,7 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 	if sc.MetricsInterval > 0 {
 		pcfg.Metrics = metrics.NewRegistry()
 	}
-	opts := core.DefaultOptions(mode)
+	opts := core.DefaultOptions(sc.System)
 	if sc.Duration > 0 {
 		opts.Duration = sc.Duration
 	}
@@ -369,16 +319,7 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 	}
 	if f := sc.Faults; f != nil {
 		pcfg.Faults = f.config(opts.Seed)
-		if !f.DisableRecovery {
-			// Recovery defaults: watchdogs fire well past any healthy
-			// job, two failed resets quarantine a lane, and a
-			// quarantined lane comes back after a lengthy repair.
-			pcfg.Watchdog = 5 * Millisecond
-			pcfg.ResetLatency = 50 * sim.Microsecond
-			pcfg.QuarantineAfter = 2
-			pcfg.RepairLatency = 20 * Millisecond
-			opts.Recovery.Enabled = true
-		}
+		pcfg.Recovery = !f.DisableRecovery
 	}
 	p := platform.New(pcfg)
 	if sc.MetricsInterval > 0 {

@@ -65,8 +65,35 @@ func TestSystemsAndNames(t *testing.T) {
 	if SystemVIP.String() != "VIP" || SystemBaseline.String() != "Baseline" {
 		t.Error("system names wrong")
 	}
-	if System(42).String() != "System?" {
-		t.Error("unknown system should render System?")
+	// System is platform.Mode, so an out-of-range design renders the
+	// mode placeholder.
+	if System(42).String() != "Mode?" {
+		t.Error("unknown system should render Mode?")
+	}
+}
+
+// TestParseSystemSpellings pins the one table of design spellings that
+// vipsim, viptrace and vipserve parse -system through, and its error.
+func TestParseSystemSpellings(t *testing.T) {
+	for _, c := range []struct {
+		want  System
+		names []string
+	}{
+		{SystemBaseline, []string{"baseline", "base", "Baseline"}},
+		{SystemFrameBurst, []string{"frameburst", "fb", "burst"}},
+		{SystemIPToIP, []string{"iptoip", "ip2ip", "chain"}},
+		{SystemIPToIPBurst, []string{"iptoipburst", "ip2ip+fb", "chainburst"}},
+		{SystemVIP, []string{"vip", "VIP"}},
+	} {
+		for _, n := range c.names {
+			if got, err := ParseSystem(n); err != nil || got != c.want {
+				t.Errorf("ParseSystem(%q) = %v, %v; want %v", n, got, err, c.want)
+			}
+		}
+	}
+	want := `vip: unknown system "gpu" (baseline|frameburst|iptoip|iptoipburst|vip)`
+	if _, err := ParseSystem("gpu"); err == nil || err.Error() != want {
+		t.Errorf("ParseSystem(gpu) error = %v, want %s", err, want)
 	}
 }
 
