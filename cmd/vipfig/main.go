@@ -20,7 +20,7 @@
 //
 // -seed drives only the Fig. 5/6 touch-model draws: every simulated
 // experiment runs at seed 1. -cache reuses cells of earlier vipfig runs
-// only. vipfig keys a cell by its experiments.Config/v1 encoding and
+// only. vipfig keys a cell by its experiments.Config/v2 encoding and
 // vipserve by the vip.Scenario/v1 encoding, so the two never reuse each
 // other's results, and can share a directory without colliding.
 package main

@@ -47,7 +47,7 @@ func main() {
 	traceSpans := flag.String("trace-spans", "", "write the causal frame-lifecycle span log as JSON Lines to this file (byte-identical across same-seed runs)")
 	traceSpansChrome := flag.String("trace-spans-chrome", "", "write the span log as a Chrome/Perfetto trace JSON file (open in ui.perfetto.dev)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics (Prometheus), /healthz and /stream (SSE snapshots) on this address during the run, e.g. :9090")
-	faultRate := flag.Float64("fault-rate", 0, "base fault-injection rate (per-job lane-hang probability; scales the whole mix)")
+	faultRate := flag.Float64("fault-rate", 0, "base fault-injection rate: the lane-hang probability per compute chunk (1 KB sub-frame); scales the whole mix")
 	faultSeed := flag.Uint64("fault-seed", 0, "fault stream seed override (0 = derive from -seed)")
 	faultNoRecovery := flag.Bool("fault-no-recovery", false, "inject faults with watchdogs/retries/quarantine disabled (control arm)")
 	flag.Parse()
@@ -73,10 +73,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *faultRate > 0 {
-		f := vip.UniformFaults(*faultRate)
-		f.Seed = *faultSeed
-		f.DisableRecovery = *faultNoRecovery
-		base.Faults = f
+		base.Faults = &vip.Faults{Rate: *faultRate, Seed: *faultSeed, DisableRecovery: *faultNoRecovery}
 	}
 	base.TraceSpans = *traceSpans != "" || *traceSpansChrome != ""
 	// Any observability output enables the metrics layer.

@@ -8,9 +8,9 @@ import (
 // QoS tracks per-frame deadline behaviour for one flow: a frame released
 // at time R with period P must complete (be displayed / transmitted) by
 // R+P. Completing later is a QoS violation. A frame is dropped at the
-// source only when the flow already has the driver's MaxBacklog frames
-// in flight (see core.Options); the display then repeats the previous
-// frame (the frame-drop rate of Figure 18).
+// source only when the flow already has the driver's queue depth of
+// frames in flight (core's maxBacklog); the display then repeats the
+// previous frame (the frame-drop rate of Figure 18).
 type QoS struct {
 	Period sim.Time
 

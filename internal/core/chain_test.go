@@ -116,18 +116,19 @@ func TestEffectiveBurst(t *testing.T) {
 		t.Errorf("flicking game burst = %d, want 1", got)
 	}
 	opts.BurstSize = 30
-	opts.GameBurstCap = 10
 	if got := opts.effectiveBurst(&game, false); got != 10 {
 		t.Errorf("game burst cap = %d, want 10 (§4.3)", got)
 	}
 }
 
 func TestDriverCostsDefaultsSane(t *testing.T) {
-	c := DefaultDriverCosts()
-	if c.SetupPerIP <= 0 || c.ISR <= 0 || c.Handoff <= 0 {
-		t.Error("driver costs must be positive")
+	for _, d := range []sim.Time{setupPerIP, isr, chainSetupBase, chainSetupPerHop, burstSetupBase,
+		burstSetupPerFrame, burstResiduePerFrame, chainOpen, touchInput, handoff} {
+		if d <= 0 {
+			t.Errorf("driver cost %v must be positive", d)
+		}
 	}
-	if c.ISR >= c.Handoff {
+	if isr >= handoff {
 		t.Error("the software hand-off dominates the raw ISR")
 	}
 	if instrFor(sim.Microsecond) != 1000 {
@@ -142,8 +143,6 @@ func TestOptionsValidate(t *testing.T) {
 	for i, mut := range []func(*Options){
 		func(o *Options) { o.Duration = 0 },
 		func(o *Options) { o.BurstSize = 0 },
-		func(o *Options) { o.GameBurstCap = 0 },
-		func(o *Options) { o.MaxBacklog = 0 },
 	} {
 		o := DefaultOptions(platform.VIP)
 		mut(&o)

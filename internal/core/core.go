@@ -25,53 +25,50 @@ import (
 	"github.com/vipsim/vip/internal/sim"
 )
 
-// DriverCosts parameterises the CPU-side cost model. Durations are per
-// invocation; instruction counts scale with duration at roughly one
-// instruction per nanosecond on the in-order core.
-type DriverCosts struct {
-	// SetupPerIP is the per-frame, per-IP driver invocation in
+// The CPU-side driver cost model. Durations are per invocation;
+// instruction counts scale with duration at roughly one instruction per
+// nanosecond on the in-order core.
+const (
+	// setupPerIP is the per-frame, per-IP driver invocation in
 	// memory-mediated designs (request buffers, map pointers, program
 	// the IP).
-	SetupPerIP sim.Time
-	// ISR is one interrupt service routine (top + bottom half).
-	ISR sim.Time
-	// ChainSetupBase/PerHop is the per-frame super-request setup cost
+	setupPerIP = 30 * sim.Microsecond
+	// isr is one interrupt service routine (top + bottom half).
+	isr = 12 * sim.Microsecond
+	// chainSetupBase/PerHop is the per-frame super-request setup cost
 	// when the flow is chained (one invocation regardless of length).
-	ChainSetupBase   sim.Time
-	ChainSetupPerHop sim.Time
-	// BurstSetupBase/PerFrame is the burst descriptor build cost.
-	BurstSetupBase     sim.Time
-	BurstSetupPerFrame sim.Time
-	// BurstResiduePerFrame is driver work that stays per-frame even in
+	chainSetupBase   = 30 * sim.Microsecond
+	chainSetupPerHop = 8 * sim.Microsecond
+	// burstSetupBase/PerFrame is the burst descriptor build cost.
+	burstSetupBase     = 20 * sim.Microsecond
+	burstSetupPerFrame = 10 * sim.Microsecond
+	// burstResiduePerFrame is driver work that stays per-frame even in
 	// burst mode (buffer-queue bookkeeping).
-	BurstResiduePerFrame sim.Time
-	// ChainOpen is the one-time open() cost instantiating a chain.
-	ChainOpen sim.Time
-	// TouchInput is the input-pipeline cost of one tap/flick event.
-	TouchInput sim.Time
-	// Handoff is the software latency of bouncing a frame between
+	burstResiduePerFrame = 20 * sim.Microsecond
+	// chainOpen is the one-time open() cost instantiating a chain.
+	chainOpen = 100 * sim.Microsecond
+	// touchInput is the input-pipeline cost of one tap/flick event.
+	touchInput = 50 * sim.Microsecond
+	// handoff is the software latency of bouncing a frame between
 	// stages in the baseline: interrupt bottom half, Binder callback,
 	// app thread wake-up, BufferQueue exchange. It is latency (the
 	// frame waits), not CPU-active time, and it is exactly what frame
 	// bursts and chaining eliminate.
-	Handoff sim.Time
-}
+	handoff = 1200 * sim.Microsecond
+)
 
-// DefaultDriverCosts returns the calibrated cost model.
-func DefaultDriverCosts() DriverCosts {
-	return DriverCosts{
-		SetupPerIP:           30 * sim.Microsecond,
-		ISR:                  12 * sim.Microsecond,
-		ChainSetupBase:       30 * sim.Microsecond,
-		ChainSetupPerHop:     8 * sim.Microsecond,
-		BurstSetupBase:       20 * sim.Microsecond,
-		BurstSetupPerFrame:   10 * sim.Microsecond,
-		BurstResiduePerFrame: 20 * sim.Microsecond,
-		ChainOpen:            100 * sim.Microsecond,
-		TouchInput:           50 * sim.Microsecond,
-		Handoff:              1200 * sim.Microsecond,
-	}
-}
+// Driver policy of the paper's evaluation setup.
+const (
+	// gameBurstCap bounds game bursts for responsiveness (<10 frames
+	// per §4.3).
+	gameBurstCap = 10
+	// maxBacklog is the per-flow limit of in-flight frames before the
+	// driver drops new ones (the Nexus 7 VD queue depth of §2.2 is 7).
+	maxBacklog = 7
+	// iFrameFactor is the compute-cost multiplier of the independent
+	// frame that opens each GOP (I-frames decode/encode slower).
+	iFrameFactor = 1.8
+)
 
 // instrFor converts a driver duration into an instruction estimate.
 func instrFor(d sim.Time) uint64 {
@@ -90,19 +87,8 @@ type Options struct {
 	// BurstSize is the nominal frame-burst size (5 in the paper's
 	// examples); GOP structure and game rules may shrink it per flow.
 	BurstSize int
-	// GameBurstCap bounds game bursts for responsiveness (<10 frames
-	// per §4.3).
-	GameBurstCap int
-	// MaxBacklog is the per-flow limit of in-flight frames before the
-	// driver drops new ones (the Nexus 7 VD queue depth of §2.2 is 7).
-	MaxBacklog int
 	// Seed drives the touch models and any other randomness.
 	Seed uint64
-	// Costs is the CPU driver cost model.
-	Costs DriverCosts
-	// IFrameFactor is the compute-cost multiplier of the independent
-	// frame that opens each GOP (I-frames decode/encode slower).
-	IFrameFactor float64
 	// ComputeNoise is the +/- fraction of per-frame compute jitter
 	// (scene complexity).
 	ComputeNoise float64
@@ -121,11 +107,7 @@ func DefaultOptions(mode platform.Mode) Options {
 		Mode:         mode,
 		Duration:     sim.Second / 2,
 		BurstSize:    5,
-		GameBurstCap: 10,
-		MaxBacklog:   7,
 		Seed:         1,
-		Costs:        DefaultDriverCosts(),
-		IFrameFactor: 1.8,
 		ComputeNoise: 0.15,
 	}
 }
@@ -136,12 +118,6 @@ func (o Options) validate() error {
 	}
 	if o.BurstSize <= 0 {
 		return fmt.Errorf("core: burst size must be positive")
-	}
-	if o.GameBurstCap <= 0 {
-		return fmt.Errorf("core: game burst cap must be positive")
-	}
-	if o.MaxBacklog <= 0 {
-		return fmt.Errorf("core: max backlog must be positive")
 	}
 	return nil
 }
@@ -158,8 +134,8 @@ func (o Options) effectiveBurst(spec *app.Spec, flicking bool) int {
 		if flicking {
 			return 1
 		}
-		if b > o.GameBurstCap {
-			b = o.GameBurstCap
+		if b > gameBurstCap {
+			b = gameBurstCap
 		}
 	}
 	if b < 1 {

@@ -21,7 +21,7 @@ func TestFrameConservationAcrossModes(t *testing.T) {
 						mode, f.App, f.Flow, f.Complete, f.Dropped, f.Frames)
 				}
 				// A pipeline holds at most the driver queue depth.
-				if inFlight > DefaultOptions(mode).MaxBacklog {
+				if inFlight > maxBacklog {
 					t.Errorf("%v %s/%s: %d frames in flight exceeds the queue depth",
 						mode, f.App, f.Flow, inFlight)
 				}

@@ -117,8 +117,7 @@ func (r *Runner) abortFrameJobs(fs *flowState, frame int) {
 // APIC timer does not cross the faulty fabric), so it draws no fault
 // randomness.
 func (r *Runner) timerInterrupt(then func()) {
-	c := r.opts.Costs
-	r.p.CPU.Interrupt(0, &cpu.Task{Label: "isr-timeout", Duration: c.ISR, Instr: instrFor(c.ISR), OnDone: then})
+	r.p.CPU.Interrupt(0, &cpu.Task{Label: "isr-timeout", Duration: isr, Instr: instrFor(isr), OnDone: then})
 }
 
 // onLaneFault handles a hardware lane quarantine: rebind every chain hop

@@ -152,7 +152,7 @@ func NewRunner(p *platform.Platform, apps []app.Spec, opts Options) (*Runner, er
 				fs.jobs = make(map[int][]trackedJob)
 				fs.attempts = make(map[int]int)
 			}
-			fs.ring = opts.MaxBacklog + opts.BurstSize + 2
+			fs.ring = maxBacklog + opts.BurstSize + 2
 			r.allocBuffers(fs)
 			ch, err := r.cm.open(fs.id, f)
 			if err != nil {
@@ -205,7 +205,7 @@ func (r *Runner) Run() (*Report, error) {
 	// once per flow at app start in chained modes.
 	if r.p.Mode().Chained() {
 		for _, fs := range r.flows {
-			r.cpuTask(fs.appIdx, "open", r.opts.Costs.ChainOpen, nil)
+			r.cpuTask(fs.appIdx, "open", chainOpen, nil)
 		}
 	}
 	// Touch processes for game apps.
@@ -269,8 +269,7 @@ func (r *Runner) interrupt(hint int, then func()) {
 		// the recovery layer's frame timeout can rescue the frame.
 		return
 	}
-	c := r.opts.Costs
-	r.p.CPU.Interrupt(0, &cpu.Task{Label: "isr", Duration: c.ISR, Instr: instrFor(c.ISR), OnDone: then})
+	r.p.CPU.Interrupt(0, &cpu.Task{Label: "isr", Duration: isr, Instr: instrFor(isr), OnDone: then})
 }
 
 // scheduleNextRelease arms the next release event of a flow.
@@ -289,10 +288,10 @@ func (r *Runner) releaseGroup(fs *flowState) {
 	b := 1
 	if mode.Bursted() && !fs.degraded {
 		b = r.opts.effectiveBurst(fs.aspec, fs.flicking)
-		if b > r.opts.MaxBacklog {
+		if b > maxBacklog {
 			// The driver never submits more frames than its request
 			// queue holds (the Nexus 7 depth-7 limit of §2.2).
-			b = r.opts.MaxBacklog
+			b = maxBacklog
 		}
 	}
 	first := fs.nextRelease
@@ -301,7 +300,7 @@ func (r *Runner) releaseGroup(fs *flowState) {
 		if fs.releaseTime(i) >= r.opts.Duration && i != first {
 			break
 		}
-		if fs.inFlight >= r.opts.MaxBacklog {
+		if fs.inFlight >= maxBacklog {
 			// Driver queue full (the Nexus 7 depth-7 limit): drop.
 			fs.qos.Dropped()
 			r.mDropped.Inc()
@@ -374,14 +373,14 @@ func (r *Runner) completeFrame(fs *flowState, frame int) {
 }
 
 // computeScale returns the deterministic per-frame compute multiplier:
-// the GOP's independent frame costs IFrameFactor, and every frame carries
+// the GOP's independent frame costs iFrameFactor, and every frame carries
 // seeded complexity jitter. Keyed hashing makes it independent of
 // evaluation order.
 func (r *Runner) computeScale(fs *flowState, frame int) float64 {
 	scale := 1.0
 	gop := fs.aspec.GOP
-	if gop > 0 && frame%gop == 0 && r.opts.IFrameFactor > 0 {
-		scale = r.opts.IFrameFactor
+	if gop > 0 && frame%gop == 0 {
+		scale = iFrameFactor
 	}
 	if n := r.opts.ComputeNoise; n > 0 {
 		h := sim.NewRNG(r.opts.Seed ^ uint64(fs.id)*0x9e3779b1 ^ uint64(frame)*0x85ebca77)
@@ -470,8 +469,7 @@ func (r *Runner) submitBaseline(fs *flowState, frame int) {
 }
 
 func (r *Runner) baselineStage(fs *flowState, frame, s int) {
-	c := r.opts.Costs
-	d := c.SetupPerIP
+	d := setupPerIP
 	if s == 0 {
 		d += fs.spec.CPUPrep
 	}
@@ -491,7 +489,7 @@ func (r *Runner) baselineStage(fs *flowState, frame, s int) {
 				}
 				// Software hand-off to the next stage's driver: Binder
 				// callback + thread wake + BufferQueue exchange.
-				r.p.Eng.After(c.Handoff, func() {
+				r.p.Eng.After(handoff, func() {
 					r.baselineStage(fs, frame, s+1)
 				})
 			})
@@ -507,10 +505,9 @@ func (r *Runner) baselineStage(fs *flowState, frame, s int) {
 // the CPU is only involved once per burst, and is interrupted once when
 // the burst drains (§4.3).
 func (r *Runner) submitBurstUnchained(fs *flowState, frames []int) {
-	c := r.opts.Costs
 	b := len(frames)
-	d := c.BurstSetupBase +
-		sim.Time(b)*(c.BurstSetupPerFrame+c.BurstResiduePerFrame+fs.spec.CPUPrep)
+	d := burstSetupBase +
+		sim.Time(b)*(burstSetupPerFrame+burstResiduePerFrame+fs.spec.CPUPrep)
 	r.cpuTask(fs.appIdx, "burst-setup", d, func() {
 		lastFrame := frames[len(frames)-1]
 		for _, frame := range frames {
@@ -565,15 +562,14 @@ func (r *Runner) submitBurstUnchained(fs *flowState, frames []int) {
 // packet travels ahead, data flows lane to lane, and the CPU hears back
 // once per frame (IP-to-IP) or once per burst (burst modes).
 func (r *Runner) submitChained(fs *flowState, frames []int, burst bool) {
-	c := r.opts.Costs
 	hops := len(fs.spec.Stages)
 	b := len(frames)
 	var d sim.Time
 	if burst {
-		d = c.ChainSetupBase + sim.Time(hops)*c.ChainSetupPerHop +
-			sim.Time(b)*(c.BurstSetupPerFrame+c.BurstResiduePerFrame+fs.spec.CPUPrep)
+		d = chainSetupBase + sim.Time(hops)*chainSetupPerHop +
+			sim.Time(b)*(burstSetupPerFrame+burstResiduePerFrame+fs.spec.CPUPrep)
 	} else {
-		d = c.ChainSetupBase + sim.Time(hops)*c.ChainSetupPerHop + fs.spec.CPUPrep
+		d = chainSetupBase + sim.Time(hops)*chainSetupPerHop + fs.spec.CPUPrep
 	}
 	r.cpuTask(fs.appIdx, "chain-setup", d, func() {
 		r.cm.sendHeader(fs.chain, b)
@@ -646,7 +642,7 @@ func (r *Runner) tapLoop(appIdx int, m *app.TapModel) {
 			return
 		}
 		r.p.Eng.After(gap, func() {
-			r.cpuTask(appIdx, "touch", r.opts.Costs.TouchInput, nil)
+			r.cpuTask(appIdx, "touch", touchInput, nil)
 			if r.p.Mode().Bursted() {
 				now := r.p.Eng.Now()
 				for _, fs := range r.gameFlows(appIdx) {
@@ -679,7 +675,7 @@ func (r *Runner) flickLoop(appIdx int, m *app.FlickModel) {
 		if now >= r.opts.Duration {
 			return
 		}
-		r.cpuTask(appIdx, "flick", r.opts.Costs.TouchInput, nil)
+		r.cpuTask(appIdx, "flick", touchInput, nil)
 		for _, fs := range r.gameFlows(appIdx) {
 			fs.flicking = true
 		}

@@ -52,7 +52,7 @@ func TestBaselineSingleVideoPlayerMeetsDeadlines(t *testing.T) {
 
 func TestAllModesRunAllApps(t *testing.T) {
 	for _, mode := range platform.AllModes() {
-		for _, id := range []string{"A1", "A2", "A3", "A4", "A5", "A6", "A7"} {
+		for _, id := range workload.AppIDs() {
 			rep := runApps(t, mode, 200*sim.Millisecond, id)
 			if rep.DisplayedFrames == 0 {
 				t.Errorf("%v/%s: no frames displayed", mode, id)

@@ -3,7 +3,7 @@ package experiments
 // Result reuse: the experiment runner keeps its results in the same
 // content-addressed cache that vipserve uses, so ablation grids (figure
 // sweeps, buffer-sizing studies, fault matrices) skip cells an earlier
-// run already simulated. A cell's key is its experiments.Config/v1
+// run already simulated. A cell's key is its experiments.Config/v2
 // encoding, not vipserve's vip.Scenario/v1 one, so a vipserve pointed at
 // the same directory neither reuses nor collides with these entries.
 // Reuse is sound for the same reason vipserve's replay is: every run is
@@ -28,7 +28,7 @@ import (
 // configCanonicalVersion names the Config canonical encoding; bump it
 // whenever a field is added or a default changes so stale hashes can
 // never alias a new meaning.
-const configCanonicalVersion = "experiments.Config/v1"
+const configCanonicalVersion = "experiments.Config/v2"
 
 // resultCache, when non-nil, is consulted by Run. Set once via SetCache
 // before launching runs (an atomic pointer, so RunAll's workers read it
@@ -45,10 +45,7 @@ func SetCache(c *cache.Cache) {
 // canonical renders the *defaulted* config as a versioned line-based
 // byte string, the experiment-side analogue of vip.Scenario.Canonical.
 // The caller passes the withDefaults form so an explicit default and an
-// omitted one collapse to the same bytes. Fault knobs encode via %+v of
-// the scalar-only fault.Config: adding a field there changes every
-// faulted encoding, which is the safe direction (fresh hashes, never
-// stale reuse).
+// omitted one collapse to the same bytes.
 func (c Config) canonical() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", configCanonicalVersion)
@@ -58,10 +55,8 @@ func (c Config) canonical() []byte {
 	fmt.Fprintf(&b, "fps_override=%s\n", strconv.FormatFloat(c.FPSOverride, 'g', -1, 64))
 	fmt.Fprintf(&b, "ideal_memory=%t\n", c.IdealMemory)
 	fmt.Fprintf(&b, "lane_buffer_bytes=%d\n", c.LaneBufBytes)
-	fmt.Fprintf(&b, "burst=%d\n", c.BurstSize)
-	fmt.Fprintf(&b, "seed=%d\n", c.Seed)
-	if c.Faults.Enabled() {
-		fmt.Fprintf(&b, "faults=%+v\n", c.Faults)
+	if c.FaultRate > 0 {
+		fmt.Fprintf(&b, "fault_rate=%s\n", strconv.FormatFloat(c.FaultRate, 'g', -1, 64))
 		fmt.Fprintf(&b, "recovery=%t\n", c.Recovery)
 	}
 	return b.Bytes()

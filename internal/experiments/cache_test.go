@@ -56,7 +56,6 @@ func TestConfigCanonicalSeparates(t *testing.T) {
 		Mode:     platform.VIP,
 		AppIDs:   []string{"A5"},
 		Duration: 400 * sim.Millisecond, // the runner default
-		Seed:     1,                     // the runner default
 	}.withDefaults()
 	if cacheKey(base) != cacheKey(spelled) {
 		t.Error("explicit defaults changed the cache key")
@@ -65,7 +64,7 @@ func TestConfigCanonicalSeparates(t *testing.T) {
 		"mode":     {Mode: platform.Baseline, AppIDs: []string{"A5"}},
 		"apps":     {Mode: platform.VIP, AppIDs: []string{"A5", "A5"}},
 		"duration": {Mode: platform.VIP, AppIDs: []string{"A5"}, Duration: 100 * sim.Millisecond},
-		"seed":     {Mode: platform.VIP, AppIDs: []string{"A5"}, Seed: 2},
+		"faults":   {Mode: platform.VIP, AppIDs: []string{"A5"}, FaultRate: 1e-4},
 		"fps":      {Mode: platform.VIP, AppIDs: []string{"A5"}, FPSOverride: 60},
 		"lanebuf":  {Mode: platform.VIP, AppIDs: []string{"A5"}, LaneBufBytes: 4096},
 	} {

@@ -35,23 +35,21 @@ type Config struct {
 	IdealMemory bool
 	// LaneBufBytes overrides the per-lane flow-buffer size (Figure 14a).
 	LaneBufBytes int
-	// BurstSize overrides the nominal frame-burst size.
-	BurstSize int
-	// Seed for the touch models.
-	Seed uint64
-	// Faults, when enabled, injects the configured fault mix.
-	Faults fault.Config
+	// FaultRate, when positive, injects the fault.Uniform mix scaled by
+	// this base rate: the lane-hang probability per compute chunk
+	// (1 KB sub-frame).
+	FaultRate float64
 	// Recovery arms the watchdog/retry/quarantine stack (see
-	// platform.Config.Recovery; only meaningful with Faults enabled).
+	// platform.Config.Recovery; only meaningful with a FaultRate).
 	Recovery bool
 }
+
+// faultSeed seeds every faulted run's fault streams.
+const faultSeed = 0x5eed
 
 func (c Config) withDefaults() Config {
 	if c.Duration == 0 {
 		c.Duration = 400 * sim.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -72,16 +70,12 @@ func runUncached(cfg Config) (*core.Report, error) {
 	if cfg.LaneBufBytes > 0 {
 		pcfg.LaneBufBytes = cfg.LaneBufBytes
 	}
-	if cfg.Faults.Enabled() {
-		pcfg.Faults = cfg.Faults
+	if cfg.FaultRate > 0 {
+		pcfg.Faults = fault.Uniform(cfg.FaultRate, faultSeed)
 		pcfg.Recovery = cfg.Recovery
 	}
 	opts := core.DefaultOptions(cfg.Mode)
 	opts.Duration = cfg.Duration
-	opts.Seed = cfg.Seed
-	if cfg.BurstSize > 0 {
-		opts.BurstSize = cfg.BurstSize
-	}
 	return simulate(pcfg, opts, cfg.AppIDs, cfg.FPSOverride)
 }
 
@@ -133,7 +127,7 @@ type Scenario struct {
 // Scenarios returns the evaluation's 15 columns in paper order.
 func Scenarios() []Scenario {
 	out := make([]Scenario, 0, 15)
-	for _, id := range []string{"A1", "A2", "A3", "A4", "A5", "A6", "A7"} {
+	for _, id := range workload.AppIDs() {
 		out = append(out, Scenario{ID: id, AppIDs: []string{id}})
 	}
 	for _, w := range workload.Workloads() {

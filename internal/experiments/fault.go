@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/vipsim/vip/internal/fault"
 	"github.com/vipsim/vip/internal/parallel"
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
@@ -44,8 +43,9 @@ type FaultSweep struct {
 	Arms  []FaultArm
 }
 
-// faultRates is the swept base rate (per-job lane-hang probability; the
-// rest of the mix scales with it, see fault.Uniform).
+// faultRates is the swept base rate: the lane-hang probability per
+// compute chunk (1 KB sub-frame); the rest of the mix scales with it,
+// see fault.Uniform.
 var faultRates = []float64{0, 2e-5, 1e-4, 5e-4, 2e-3}
 
 // RunFaultSweep executes the sweep on a single video player (A5). The
@@ -80,11 +80,11 @@ func RunFaultSweep(dur sim.Time) (*FaultSweep, error) {
 
 func runFaultPoint(mode platform.Mode, rate float64, recovery bool, dur sim.Time) (FaultPoint, error) {
 	rep, err := Run(Config{
-		Mode:     mode,
-		AppIDs:   []string{"A5"},
-		Duration: dur,
-		Faults:   fault.Uniform(rate, 0x5eed),
-		Recovery: recovery,
+		Mode:      mode,
+		AppIDs:    []string{"A5"},
+		Duration:  dur,
+		FaultRate: rate,
+		Recovery:  recovery,
 	})
 	if err != nil {
 		return FaultPoint{}, err

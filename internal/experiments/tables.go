@@ -14,7 +14,7 @@ import (
 func WriteTable1(w io.Writer) {
 	fmt.Fprintln(w, "Table 1: Applications and their IP flows")
 	fmt.Fprintf(w, "%-5s%-14s%s\n", "App", "Name", "IP Flows")
-	for _, id := range []string{"A1", "A2", "A3", "A4", "A5", "A6", "A7"} {
+	for _, id := range workload.AppIDs() {
 		a, err := workload.App(id)
 		if err != nil {
 			fmt.Fprintf(w, "%-5s error: %v\n", id, err)

@@ -116,15 +116,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Uniform returns the canonical mixed-fault environment scaled by rate:
-// every model active, with relative weights chosen so that each class of
-// fault is visible at moderate rates (interrupts are rare events, so
-// their loss rate is boosted; DRAM beats are plentiful, so theirs is
-// attenuated).
+// Uniform returns the canonical mixed-fault environment scaled by rate,
+// the lane-hang probability per compute chunk: every model active, with
+// relative weights chosen so that each class of fault is visible at
+// moderate rates (interrupts are rare events, so their loss rate is
+// boosted; DRAM beats are plentiful, so theirs is attenuated).
 func Uniform(rate float64, seed uint64) Config {
-	if rate < 0 {
-		rate = 0
-	}
 	clamp := func(v float64) float64 {
 		if v > 1 {
 			return 1

@@ -94,6 +94,10 @@ func DefaultIPParams() map[ipcore.Kind]IPParams {
 	}
 }
 
+// stallPowerFrac and idlePowerFrac derive an IP's stall/idle power from
+// its active power.
+const stallPowerFrac, idlePowerFrac = 0.40, 0.01
+
 // Config describes a platform build.
 type Config struct {
 	Mode Mode
@@ -119,10 +123,6 @@ type Config struct {
 	// SwitchPatience is how long a VIP IP tolerates its current lane
 	// being blocked before context switching to another lane.
 	SwitchPatience sim.Time
-
-	// StallPowerFrac and IdlePowerFrac derive an IP's stall/idle power
-	// from its active power.
-	StallPowerFrac, IdlePowerFrac float64
 
 	// Metrics, when non-nil, collects every component's counters and
 	// gauges (see internal/metrics); nil disables the whole layer at
@@ -163,8 +163,6 @@ func DefaultConfig(mode Mode) Config {
 		VIPPolicy:      ipcore.EDF,
 		CtxSwitch:      2 * sim.Microsecond,
 		SwitchPatience: 5 * sim.Microsecond,
-		StallPowerFrac: 0.40,
-		IdlePowerFrac:  0.01,
 	}
 }
 
@@ -272,8 +270,8 @@ func New(cfg Config) *Platform {
 			MaxWrites:     8,
 			Prefetch:      8,
 			ActiveW:       prm.ActiveW,
-			StallW:        prm.ActiveW * cfg.StallPowerFrac,
-			IdleW:         prm.ActiveW*cfg.IdlePowerFrac + 0.0005,
+			StallW:        prm.ActiveW * stallPowerFrac,
+			IdleW:         prm.ActiveW*idlePowerFrac + 0.0005,
 			Metrics:       cfg.Metrics,
 			Spans:         cfg.Spans,
 			Injector:      inj,

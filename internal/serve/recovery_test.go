@@ -201,12 +201,18 @@ func TestInterruptedJobReRun(t *testing.T) {
 
 // TestRecoveryHashMismatchTerminal: a marker whose request no longer
 // lowers to the key it was accepted under (another scenario, or the
-// same one under another engine version) must fail terminally, not run
-// the wrong simulation, and its marker must go.
+// same one under another engine version), or no longer lowers at all
+// (past a request size bound), must fail terminally, not run the wrong
+// simulation, and its marker must go.
 func TestRecoveryHashMismatchTerminal(t *testing.T) {
 	dir := t.TempDir()
 	hash := lower(t, SimRequest{Apps: []string{"A5"}, DurationMS: 10, Seed: 7})
 	seedMarker(t, dir, hash, SimRequest{Apps: []string{"W4"}, DurationMS: 10, Seed: 9}, 0)
+	longHash, err := vip.Scenario{System: vip.SystemVIP, Apps: []string{"A5"}, Duration: 20 * vip.Second}.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedMarker(t, dir, longHash, SimRequest{Apps: []string{"A5"}, DurationMS: 20_000}, 0)
 	oldReq := SimRequest{Apps: []string{"A2"}, DurationMS: 10, Seed: 9}
 	oldHash := lower(t, oldReq)
 	b, err := json.Marshal(marker{Request: oldReq})
@@ -223,7 +229,7 @@ func TestRecoveryHashMismatchTerminal(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, id := range []string{hash, oldHash} {
+	for _, id := range []string{hash, oldHash, longHash} {
 		doc := waitDone(t, ts.URL, id)
 		if doc["status"] != StatusFailed {
 			t.Fatalf("job %.12s: status = %v, want failed", id, doc["status"])

@@ -218,8 +218,30 @@ type SimRequest struct {
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`
 }
 
+// Bounds on a request's size: past any of them scenario refuses the
+// request before it is hashed, admitted or run. A job keeps running
+// after its client leaves, so these cap what one request can cost.
+const (
+	// maxDurationMS caps the simulated time at 10 s; wall time grows
+	// with it.
+	maxDurationMS = 10_000
+	// minMetricsIntervalMS floors a non-zero sampler period; the time
+	// series grows as duration over interval.
+	minMetricsIntervalMS = 1
+	// maxApps caps the ids in apps, counting a workload id as one.
+	maxApps = 8
+)
+
 // scenario lowers the wire request to a vip.Scenario.
 func (r SimRequest) scenario() (vip.Scenario, error) {
+	switch {
+	case r.DurationMS > maxDurationMS:
+		return vip.Scenario{}, fmt.Errorf("duration_ms must be at most %d (got %g)", maxDurationMS, r.DurationMS)
+	case r.MetricsIntervalMS != 0 && r.MetricsIntervalMS < minMetricsIntervalMS:
+		return vip.Scenario{}, fmt.Errorf("metrics_interval_ms must be 0 or at least %d (got %g)", minMetricsIntervalMS, r.MetricsIntervalMS)
+	case len(r.Apps) > maxApps:
+		return vip.Scenario{}, fmt.Errorf("apps lists %d ids; at most %d are allowed", len(r.Apps), maxApps)
+	}
 	sys := vip.SystemVIP
 	if r.System != "" {
 		var err error
@@ -237,14 +259,8 @@ func (r SimRequest) scenario() (vip.Scenario, error) {
 		LaneBufferBytes: r.LaneBufferBytes,
 		MetricsInterval: vip.Duration(r.MetricsIntervalMS * 1e6),
 	}
-	if r.FaultRate < 0 {
-		return vip.Scenario{}, fmt.Errorf("fault_rate must be non-negative")
-	}
-	if r.FaultRate > 0 {
-		f := vip.UniformFaults(r.FaultRate)
-		f.Seed = r.FaultSeed
-		f.DisableRecovery = r.FaultNoRecovery
-		sc.Faults = f
+	if r.FaultRate != 0 {
+		sc.Faults = &vip.Faults{Rate: r.FaultRate, Seed: r.FaultSeed, DisableRecovery: r.FaultNoRecovery}
 	}
 	return sc, nil
 }

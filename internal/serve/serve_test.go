@@ -252,7 +252,9 @@ func TestSimCoalescesIdenticalInflight(t *testing.T) {
 }
 
 // TestSimRejectsBadRequests: malformed JSON, unknown fields, unknown
-// systems and unknown apps all answer 400 with a JSON error.
+// systems and apps, and requests past a size bound (an 11-day
+// duration, a 1 ns sampler, 200 app ids) all answer 400 with a JSON
+// error and run nothing; a request at every bound lowers cleanly.
 func TestSimRejectsBadRequests(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -265,15 +267,26 @@ func TestSimRejectsBadRequests(t *testing.T) {
 		`{"apps":["A5"],"system":"warp9"}`,
 		`{"apps":["A99"]}`,
 		`{"apps":["A5"],"fault_rate":-0.5}`,
+		`{"apps":["A5"],"duration_ms":1e9}`,
+		`{"apps":["A5"],"metrics_interval_ms":1e-6}`,
+		`{"apps":["A5"` + strings.Repeat(`,"A5"`, 199) + `]}`,
 	} {
 		resp, b := post(t, ts.URL, "/v1/sim", body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s = %d, want 400 (%s)", body, resp.StatusCode, b)
+			t.Errorf("POST %.60s = %d, want 400 (%s)", body, resp.StatusCode, b)
 		}
 		if !json.Valid(b) {
 			t.Errorf("error body is not JSON: %s", b)
 		}
 	}
+	if runs := s.EngineRuns(); runs != 0 {
+		t.Errorf("engine runs = %d, want 0", runs)
+	}
+	atBounds := SimRequest{Apps: make([]string, maxApps), DurationMS: maxDurationMS, MetricsIntervalMS: minMetricsIntervalMS}
+	for i := range atBounds.Apps {
+		atBounds.Apps[i] = "W1"
+	}
+	lower(t, atBounds)
 
 	resp, _ := get(t, ts.URL, "/v1/jobs/nope")
 	if resp.StatusCode != http.StatusNotFound {

@@ -114,7 +114,7 @@ func (r *Recorder) FrameSubmit(track string, frame int, at sim.Time) {
 }
 
 // FrameDrop marks a frame dropped at release because the driver queue
-// (MaxBacklog) was full.
+// (core's maxBacklog) was full.
 func (r *Recorder) FrameDrop(track string, frame int, at sim.Time) {
 	r.Instant(track, "frame", fmt.Sprintf("drop/f%d", frame), at)
 }

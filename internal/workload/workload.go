@@ -87,10 +87,14 @@ func cameraEncodeFlow(name string, sink ipcore.Kind) app.Flow {
 	}
 }
 
-// table1 builds the Table 1 applications, keyed by identifier. Each
-// call builds a fresh copy, and App builds only the one it is asked for.
-var table1 = map[string]func() app.Spec{
-	"A1": func() app.Spec {
+// table1 lists the Table 1 applications in paper order, each with the
+// builder of its spec. Each call builds a fresh copy, and App builds
+// only the one it is asked for.
+var table1 = []struct {
+	id    string
+	build func() app.Spec
+}{
+	{"A1", func() app.Spec {
 		return app.Spec{
 			ID: "A1", Name: "Game-1", Class: app.ClassGame, Touch: app.TouchTap,
 			Flows: []app.Flow{
@@ -98,8 +102,8 @@ var table1 = map[string]func() app.Spec{
 				audioPlaybackFlow("ad-snd"),
 			},
 		}
-	},
-	"A2": func() app.Spec {
+	}},
+	{"A2", func() app.Spec {
 		return app.Spec{
 			ID: "A2", Name: "AR-Game", Class: app.ClassGame, Touch: app.TouchFlick,
 			Flows: []app.Flow{
@@ -117,8 +121,8 @@ var table1 = map[string]func() app.Spec{
 				micCaptureFlow("mic-ae-nw"),
 			},
 		}
-	},
-	"A3": func() app.Spec {
+	}},
+	{"A3", func() app.Spec {
 		return app.Spec{
 			ID: "A3", Name: "Audio-Play", Class: app.ClassAudio, GOP: 16,
 			Flows: []app.Flow{
@@ -137,8 +141,8 @@ var table1 = map[string]func() app.Spec{
 				},
 			},
 		}
-	},
-	"A4": func() app.Spec {
+	}},
+	{"A4", func() app.Spec {
 		return app.Spec{
 			ID: "A4", Name: "Skype", Class: app.ClassEncode, GOP: 10,
 			Flows: []app.Flow{
@@ -148,8 +152,8 @@ var table1 = map[string]func() app.Spec{
 				micCaptureFlow("mic-ae-nw"),
 			},
 		}
-	},
-	"A5": func() app.Spec {
+	}},
+	{"A5", func() app.Spec {
 		return app.Spec{
 			ID: "A5", Name: "Video Player", Class: app.ClassPlayback, GOP: 16,
 			Flows: []app.Flow{
@@ -157,8 +161,8 @@ var table1 = map[string]func() app.Spec{
 				audioPlaybackFlow("ad-snd"),
 			},
 		}
-	},
-	"A6": func() app.Spec {
+	}},
+	{"A6", func() app.Spec {
 		return app.Spec{
 			ID: "A6", Name: "Video Record", Class: app.ClassEncode, GOP: 10,
 			Flows: []app.Flow{
@@ -181,8 +185,8 @@ var table1 = map[string]func() app.Spec{
 				}(),
 			},
 		}
-	},
-	"A7": func() app.Spec {
+	}},
+	{"A7", func() app.Spec {
 		return app.Spec{
 			ID: "A7", Name: "Youtube", Class: app.ClassPlayback, GOP: 16,
 			Flows: []app.Flow{
@@ -190,25 +194,35 @@ var table1 = map[string]func() app.Spec{
 				audioPlaybackFlow("ad-snd"),
 			},
 		}
-	},
+	}},
 }
 
-// Apps returns the Table 1 applications keyed by their identifier.
-func Apps() map[string]app.Spec {
-	apps := make(map[string]app.Spec, len(table1))
-	for id, build := range table1 {
-		apps[id] = build()
+// AppIDs lists the Table 1 application identifiers in paper order.
+func AppIDs() []string {
+	ids := make([]string, len(table1))
+	for i, a := range table1 {
+		ids[i] = a.id
 	}
-	return apps
+	return ids
 }
 
 // App returns one Table 1 application or an error for unknown ids.
 func App(id string) (app.Spec, error) {
-	build, ok := table1[id]
+	build, ok := builder(id)
 	if !ok {
 		return app.Spec{}, unknownApp(id)
 	}
 	return build(), nil
+}
+
+// builder returns the Table 1 builder of id.
+func builder(id string) (func() app.Spec, bool) {
+	for _, a := range table1 {
+		if a.id == id {
+			return a.build, true
+		}
+	}
+	return nil, false
 }
 
 // unknownApp is the error for an id that names no Table 1 application.
@@ -260,7 +274,7 @@ func Expand(ids []string) ([]string, error) {
 			out = append(out, w.AppIDs...)
 			continue
 		}
-		if _, ok := table1[id]; !ok {
+		if _, ok := builder(id); !ok {
 			return nil, unknownApp(id)
 		}
 		out = append(out, id)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/vipsim/vip/internal/app"
@@ -8,11 +9,18 @@ import (
 )
 
 func TestAllAppsValidate(t *testing.T) {
-	apps := Apps()
-	if len(apps) != 7 {
-		t.Fatalf("got %d apps, want 7 (Table 1)", len(apps))
+	ids := AppIDs()
+	if len(ids) != 7 {
+		t.Fatalf("got %d apps, want 7 (Table 1)", len(ids))
 	}
-	for id, a := range apps {
+	for i, id := range ids {
+		if want := fmt.Sprintf("A%d", i+1); id != want {
+			t.Errorf("app %d = %s, want %s (Table 1 order)", i, id, want)
+		}
+		a, err := App(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := a.Validate(); err != nil {
 			t.Errorf("%s invalid: %v", id, err)
 		}
@@ -198,10 +206,13 @@ func TestSharedIPsInW1(t *testing.T) {
 }
 
 func TestAppsReturnsFreshCopies(t *testing.T) {
-	a1 := Apps()["A5"]
-	a1.Flows[0].FPS = 1
-	a2 := Apps()["A5"]
-	if a2.Flows[0].FPS == 1 {
-		t.Error("Apps must return independent copies")
+	for _, id := range AppIDs() {
+		a1, _ := App(id)
+		a1.Flows[0].FPS = 1
+		a1.Flows[0].Stages[0].OutBytes = -1
+		a2, _ := App(id)
+		if a2.Flows[0].FPS == 1 || a2.Flows[0].Stages[0].OutBytes == -1 {
+			t.Errorf("App(%q) must return independent copies", id)
+		}
 	}
 }

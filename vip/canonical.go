@@ -36,9 +36,9 @@ const EngineVersion = sim.EngineVersion
 //   - expands Table 2 workload ids into their Table 1 app mixes (the
 //     simulator sees exactly the expansion, so {"W1"} and {"A5","A5"}
 //     are the same run);
-//   - normalizes a Faults block through the same defaulting the
-//     simulator applies (derived fault seed, mean hang time, slowdown
-//     factor, ECC retry latency), and omits it entirely when nil;
+//   - lowers a Faults block to the fault mix the simulator runs (the
+//     derived fault seed and every model's parameters, scaled from the
+//     base rate), and omits it entirely when nil;
 //   - excludes host-side observers (ChromeTrace, OnMetricsSnapshot),
 //     which never influence simulated results.
 //

@@ -82,7 +82,7 @@ func TestCanonicalFieldSensitivity(t *testing.T) {
 		"IdealMemory":     {System: SystemVIP, Apps: []string{"A5"}, IdealMemory: true},
 		"LaneBufferBytes": {System: SystemVIP, Apps: []string{"A5"}, LaneBufferBytes: 4096},
 		"MetricsInterval": {System: SystemVIP, Apps: []string{"A5"}, MetricsInterval: Millisecond},
-		"Faults":          {System: SystemVIP, Apps: []string{"A5"}, Faults: UniformFaults(1e-4)},
+		"Faults":          {System: SystemVIP, Apps: []string{"A5"}, Faults: &Faults{Rate: 1e-4}},
 	}
 	seen := map[string]string{baseHash: "base"}
 	for field, sc := range mutations {
@@ -98,16 +98,16 @@ func TestCanonicalFieldSensitivity(t *testing.T) {
 
 	// Distinct fault knobs are distinct runs too.
 	f1 := base
-	f1.Faults = UniformFaults(1e-4)
+	f1.Faults = &Faults{Rate: 1e-4}
 	f2 := base
-	f2.Faults = UniformFaults(2e-4)
+	f2.Faults = &Faults{Rate: 2e-4}
 	h1, _ := f1.Hash()
 	h2, _ := f2.Hash()
 	if h1 == h2 {
 		t.Error("different fault rates hash identically")
 	}
 	f3 := f1
-	f3.Faults = UniformFaults(1e-4)
+	f3.Faults = &Faults{Rate: 1e-4}
 	f3.Faults.DisableRecovery = true
 	h3, _ := f3.Hash()
 	if h3 == h1 {
@@ -185,27 +185,31 @@ metrics_interval_ns=0
 		t.Errorf("golden hash drifted: got %s want %s", h, wantHash)
 	}
 
-	// The faulted golden pins the normalized fault block, including the
-	// derived seed and filled defaults.
-	fsc := Scenario{System: SystemVIP, Apps: []string{"A5"}, Faults: &Faults{LaneHangRate: 1e-4}}
+	// The faulted golden pins the lowered fault block: the derived seed
+	// and every model's parameters, scaled from the one base rate.
+	fsc := Scenario{System: SystemVIP, Apps: []string{"A5"}, Faults: &Faults{Rate: 1e-4}}
 	const wantFaultTail = `faults.seed=64022
 faults.lane_hang_rate=0.0001
 faults.lane_hang_mean_ns=2000000
-faults.permanent_rate=0
-faults.slowdown_rate=0
-faults.slowdown_factor=0
-faults.dram_error_rate=0
-faults.ecc_retry_latency_ns=0
-faults.noc_drop_rate=0
-faults.lost_interrupt_rate=0
-faults.credit_loss_rate=0
+faults.permanent_rate=4e-06
+faults.slowdown_rate=0.0004
+faults.slowdown_factor=3
+faults.dram_error_rate=2.5e-05
+faults.ecc_retry_latency_ns=250
+faults.noc_drop_rate=0.0001
+faults.lost_interrupt_rate=0.004
+faults.credit_loss_rate=0.0001
 faults.disable_recovery=false
 `
+	const wantFaultHash = "2cd66967a75ccd35804d057bfa0fdb04b0287d8c76b430480f359af986facc7f"
 	fc, err := fsc.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasSuffix(string(fc), wantFaultTail) {
 		t.Errorf("fault block drifted:\n got: %q\nwant suffix: %q", fc, wantFaultTail)
+	}
+	if h, err := fsc.Hash(); err != nil || h != wantFaultHash {
+		t.Errorf("faulted golden hash drifted: got %s (%v) want %s", h, err, wantFaultHash)
 	}
 }

@@ -27,7 +27,7 @@ type artifacts struct {
 func runOnce(t *testing.T, seed uint64) artifacts {
 	t.Helper()
 	var chrome bytes.Buffer
-	faults := vip.UniformFaults(0.02)
+	faults := &vip.Faults{Rate: 0.02}
 	res, err := vip.Simulate(vip.Scenario{
 		System:          vip.SystemVIP,
 		Apps:            []string{"A5", "A2", "A6"},
@@ -140,7 +140,7 @@ func TestFaultGridSameSeedByteIdentical(t *testing.T) {
 				TraceSpans: true,
 			}
 			if rate > 0 {
-				f := vip.UniformFaults(rate)
+				f := &vip.Faults{Rate: rate}
 				f.DisableRecovery = noRecovery
 				sc.Faults = f
 			}

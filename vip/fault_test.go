@@ -3,6 +3,7 @@ package vip_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func faultedScenario(rate float64) vip.Scenario {
 		Apps:            []string{"A5"},
 		Duration:        250 * vip.Millisecond,
 		MetricsInterval: vip.Millisecond,
-		Faults:          vip.UniformFaults(rate),
+		Faults:          &vip.Faults{Rate: rate},
 	}
 }
 
@@ -53,7 +54,7 @@ func TestFaultViolationsMonotonic(t *testing.T) {
 	for _, rate := range []float64{0, 1e-4, 5e-4, 2e-3} {
 		sc := vip.Scenario{System: vip.SystemVIP, Apps: []string{"A5"}, Duration: 250 * vip.Millisecond}
 		if rate > 0 {
-			sc.Faults = vip.UniformFaults(rate)
+			sc.Faults = &vip.Faults{Rate: rate}
 		}
 		res, err := vip.Simulate(sc)
 		if err != nil {
@@ -141,8 +142,9 @@ func TestFaultLayerZeroCostWhenDisabled(t *testing.T) {
 }
 
 // TestScenarioValidation covers the hardened Scenario checks: negative
-// knobs and malformed fault configs fail with descriptive errors instead
-// of being silently ignored.
+// knobs and fault rates outside [0,1], or whose lowered mix is not a
+// probability, fail with descriptive errors instead of being silently
+// ignored.
 func TestScenarioValidation(t *testing.T) {
 	base := vip.Scenario{System: vip.SystemVIP, Apps: []string{"A5"}, Duration: 10 * vip.Millisecond}
 	cases := []struct {
@@ -153,11 +155,10 @@ func TestScenarioValidation(t *testing.T) {
 		{"negative burst", func(sc *vip.Scenario) { sc.BurstSize = -1 }},
 		{"negative lane buffer", func(sc *vip.Scenario) { sc.LaneBufferBytes = -5 }},
 		{"negative metrics interval", func(sc *vip.Scenario) { sc.MetricsInterval = -1 }},
-		{"fault rate above one", func(sc *vip.Scenario) { sc.Faults = &vip.Faults{NoCDropRate: 1.5} }},
-		{"negative fault rate", func(sc *vip.Scenario) { sc.Faults = &vip.Faults{DRAMErrorRate: -0.1} }},
-		{"slowdown factor below one", func(sc *vip.Scenario) {
-			sc.Faults = &vip.Faults{SlowdownRate: 0.1, SlowdownFactor: 0.5}
-		}},
+		{"fault rate above one", func(sc *vip.Scenario) { sc.Faults = &vip.Faults{Rate: 1.5} }},
+		{"negative fault rate", func(sc *vip.Scenario) { sc.Faults = &vip.Faults{Rate: -0.1} }},
+		{"NaN fault rate", func(sc *vip.Scenario) { sc.Faults = &vip.Faults{Rate: math.NaN()} }},
+		{"fault mix above one", func(sc *vip.Scenario) { sc.Faults = &vip.Faults{Rate: 1} }},
 	}
 	for _, tc := range cases {
 		sc := base

@@ -66,7 +66,7 @@ func goldenRuns(t *testing.T) map[string]string {
 	// The other arms of runOnce's fault mix, without metrics or spans.
 	// Each must exercise what it pins: recovery acts on Baseline too,
 	// and nothing recovers with recovery off.
-	noRecovery := vip.UniformFaults(0.02)
+	noRecovery := &vip.Faults{Rate: 0.02}
 	noRecovery.DisableRecovery = true
 	for _, c := range []struct {
 		key      string
@@ -75,7 +75,7 @@ func goldenRuns(t *testing.T) map[string]string {
 		recovers bool
 	}{
 		{"faulted-norecovery", vip.SystemVIP, noRecovery, false},
-		{"faulted-baseline", vip.SystemBaseline, vip.UniformFaults(0.02), true},
+		{"faulted-baseline", vip.SystemBaseline, &vip.Faults{Rate: 0.02}, true},
 	} {
 		res, err := vip.Simulate(vip.Scenario{System: c.sys, Apps: []string{"A5", "A2", "A6"},
 			Duration: 120 * vip.Millisecond, Seed: 7, Faults: c.faults})

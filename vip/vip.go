@@ -138,58 +138,26 @@ type Scenario struct {
 	Faults *Faults
 }
 
-// Faults configures the deterministic fault injector. All rates are
-// per-opportunity probabilities in [0,1]; zero-valued fields inject
-// nothing. UniformFaults builds a proportioned mix from one knob.
+// Faults configures the deterministic fault injector from one base
+// rate, which every fault model scales with (see fault.Uniform).
 type Faults struct {
+	// Rate is the base fault rate: the probability that an IP lane
+	// hangs, drawn once per compute chunk (1 KB sub-frame), not once per
+	// job. A 4K decode job is 12 150 chunks, so a Rate of 1e-4 hangs
+	// about 70 % of such jobs. The other models scale with Rate the way
+	// their fault opportunities occur: frequent events (DRAM beats) get
+	// lower per-event rates, rare catastrophic ones (permanent hangs)
+	// lower still, and rare interrupts a higher one. A transient and a
+	// permanent hang share one draw, so Rate may be at most 1/1.04.
+	Rate float64
 	// Seed drives the fault streams independently of Scenario.Seed;
 	// zero derives it from Scenario.Seed.
 	Seed uint64
-
-	// LaneHangRate hangs an IP lane at job-compute start; the hang
-	// clears by itself after ~LaneHangMean (exponential, default 2 ms)
-	// unless the watchdog resets the lane first.
-	LaneHangRate float64
-	// LaneHangMean is the mean transient hang duration (default 2 ms).
-	LaneHangMean Duration
-	// PermanentRate hangs the lane until watchdog reset; lanes that keep
-	// failing reset are quarantined.
-	PermanentRate float64
-	// SlowdownRate multiplies one job's compute time by SlowdownFactor
-	// (default 3) — thermal throttling, DVFS glitches.
-	SlowdownRate float64
-	// SlowdownFactor is the compute-time multiplier (default 3).
-	SlowdownFactor float64
-	// DRAMErrorRate adds an ECC detect+retry penalty to a DRAM request.
-	DRAMErrorRate float64
-	// ECCRetryLatency is the per-error penalty (default 250 ns).
-	ECCRetryLatency Duration
-	// NoCDropRate drops/corrupts a fabric transfer in flight; the
-	// link-level CRC catches it and the transfer is retransmitted.
-	NoCDropRate float64
-	// LostInterruptRate swallows an IP completion interrupt; only the
-	// driver's frame timeout recovers the frame.
-	LostInterruptRate float64
-	// CreditLossRate loses a flow-control credit signal, stalling the
-	// upstream producer until the next credit (or a frame timeout).
-	CreditLossRate float64
-
 	// DisableRecovery injects faults with the whole recovery stack off:
 	// no watchdogs, no frame retries, no quarantine, no degradation.
 	// Frames stuck on a hung lane simply miss their deadlines — the
 	// control arm of the fault experiments.
 	DisableRecovery bool
-}
-
-// UniformFaults builds a proportioned fault mix scaled by one base rate
-// (per-job lane-hang probability). The other models scale relative to it
-// the way their fault opportunities occur in real systems: frequent
-// events (DRAM requests, NoC transfers) get lower per-event rates,
-// rare catastrophic ones (permanent hangs) lower still.
-func UniformFaults(rate float64) *Faults {
-	f := &Faults{}
-	f.fromConfig(fault.Uniform(rate, 0))
-	return f
 }
 
 // config lowers the public Faults to the internal injector config.
@@ -198,44 +166,7 @@ func (f *Faults) config(fallbackSeed uint64) fault.Config {
 	if seed == 0 {
 		seed = fallbackSeed ^ 0xfa17
 	}
-	cfg := fault.Config{
-		Seed:              seed,
-		LaneHangRate:      f.LaneHangRate,
-		LaneHangMean:      f.LaneHangMean,
-		PermanentRate:     f.PermanentRate,
-		SlowdownRate:      f.SlowdownRate,
-		SlowdownFactor:    f.SlowdownFactor,
-		DRAMErrorRate:     f.DRAMErrorRate,
-		ECCRetryLatency:   f.ECCRetryLatency,
-		NoCDropRate:       f.NoCDropRate,
-		LostInterruptRate: f.LostInterruptRate,
-		CreditLossRate:    f.CreditLossRate,
-	}
-	if cfg.LaneHangRate > 0 && cfg.LaneHangMean == 0 {
-		cfg.LaneHangMean = 2 * Millisecond
-	}
-	if cfg.SlowdownRate > 0 && cfg.SlowdownFactor == 0 {
-		cfg.SlowdownFactor = 3
-	}
-	if cfg.DRAMErrorRate > 0 && cfg.ECCRetryLatency == 0 {
-		cfg.ECCRetryLatency = 250 * sim.Nanosecond
-	}
-	return cfg
-}
-
-// fromConfig lifts an internal config into the public struct.
-func (f *Faults) fromConfig(cfg fault.Config) {
-	f.Seed = cfg.Seed
-	f.LaneHangRate = cfg.LaneHangRate
-	f.LaneHangMean = cfg.LaneHangMean
-	f.PermanentRate = cfg.PermanentRate
-	f.SlowdownRate = cfg.SlowdownRate
-	f.SlowdownFactor = cfg.SlowdownFactor
-	f.DRAMErrorRate = cfg.DRAMErrorRate
-	f.ECCRetryLatency = cfg.ECCRetryLatency
-	f.NoCDropRate = cfg.NoCDropRate
-	f.LostInterruptRate = cfg.LostInterruptRate
-	f.CreditLossRate = cfg.CreditLossRate
+	return fault.Uniform(f.Rate, seed)
 }
 
 // validate rejects malformed scenarios with descriptive errors before
@@ -258,6 +189,9 @@ func (sc Scenario) validate() error {
 		return fmt.Errorf("vip: MetricsInterval must be non-negative (got %v)", sc.MetricsInterval)
 	}
 	if f := sc.Faults; f != nil {
+		if !(f.Rate >= 0 && f.Rate <= 1) {
+			return fmt.Errorf("vip: Faults.Rate must be in [0,1] (got %g)", f.Rate)
+		}
 		if err := f.config(1).Validate(); err != nil {
 			return fmt.Errorf("vip: Faults: %w", err)
 		}
@@ -352,7 +286,7 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 }
 
 // AppIDs lists the Table 1 application identifiers.
-func AppIDs() []string { return []string{"A1", "A2", "A3", "A4", "A5", "A6", "A7"} }
+func AppIDs() []string { return workload.AppIDs() }
 
 // WorkloadIDs lists the Table 2 workload identifiers.
 func WorkloadIDs() []string {
