@@ -283,10 +283,10 @@ func BenchmarkFig18(b *testing.B) {
 // schedule + one fire per op against a warm, pre-sized queue held 64
 // deep. It is allocation-free (the paired assertion is internal/sim's
 // TestEngineZeroAllocSteadyState). In steady state every insert lands
-// behind all 64 queued events, so each one shifts the whole queue;
-// the model's inserts land far nearer the earliest end: over the fig15
-// sweep the queue peaks at 54 events and 95 % of inserts land within 8
-// slots of that end.
+// behind all 64 queued 24-byte events, so each one shifts the whole
+// queue; the model's queues are shallower and their inserts land far
+// nearer the earliest end: over the 50 ms fig15 sweep the queue peaks
+// at 29 events.
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := sim.NewEngine()
 	fn := func() {}
@@ -304,8 +304,8 @@ func BenchmarkEngineSchedule(b *testing.B) {
 // BenchmarkEngineChurn is the sorted run's deep-queue worst case: four
 // out-of-order schedules and four fires per op over a ~512-deep queue,
 // with inserts landing anywhere in it. No model scenario builds such a
-// queue: over 200 ms the measured peaks are 27 pending events for 4×A5
-// on Baseline, 65 on VIP and 129 for 32 A5 players on VIP.
+// queue: over 200 ms the measured peaks are 21 queued events for 4×A5
+// on Baseline, 33 on VIP and 98 for 32 A5 players on VIP.
 func BenchmarkEngineChurn(b *testing.B) {
 	e := sim.NewEngine()
 	fn := func() {}

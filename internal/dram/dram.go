@@ -28,7 +28,8 @@ type Config struct {
 
 	// TREFI is the all-bank refresh interval per channel and TRFC the
 	// refresh cycle time; refresh blocks new requests on the channel.
-	// TREFI <= 0 disables refresh.
+	// TREFI <= 0 or TRFC <= 0 disables refresh; with refresh on, TRFC
+	// must be below TREFI.
 	TREFI sim.Time
 	TRFC  sim.Time
 
@@ -95,8 +96,14 @@ func (c Config) validate() error {
 	if c.BWWindow <= 0 {
 		return fmt.Errorf("dram: bandwidth window must be positive")
 	}
+	if c.refreshOn() && c.TRFC >= c.TREFI {
+		return fmt.Errorf("dram: refresh cycle %v must be shorter than the refresh interval %v", c.TRFC, c.TREFI)
+	}
 	return nil
 }
+
+// refreshOn reports whether the channels refresh.
+func (c Config) refreshOn() bool { return c.TREFI > 0 && c.TRFC > 0 && !c.Ideal }
 
 // Request is one memory transaction. OnDone fires at completion time.
 // The controller queues requests by value, so a caller that issues many
@@ -155,9 +162,8 @@ type channel struct {
 	busyAcc      sim.Time
 	refreshUntil sim.Time
 
-	// Completions bound once per channel: done on the first request,
-	// refresh at construction and refreshEnd on the first refresh.
-	done, refresh, refreshEnd func()
+	// done is the service completion, bound on the first request.
+	done func()
 }
 
 // Controller is the memory controller plus DRAM device model.
@@ -168,6 +174,10 @@ type Controller struct {
 
 	chans []*channel
 	stats Stats
+
+	// The refresh handlers, bound once at construction when refresh is
+	// on. Each queued refresh event stands for one event per channel.
+	refresh, refreshEnd func()
 
 	// bandwidth histogram: bytes moved per BWWindow
 	bwWindows []uint64
@@ -188,10 +198,10 @@ func NewController(eng *sim.Engine, cfg Config, acct *energy.Account) *Controlle
 			ch.banks[b].openRow = -1
 		}
 		c.chans[i] = ch
-		if cfg.TREFI > 0 && cfg.TRFC > 0 && !cfg.Ideal {
-			ch.refresh = ch.startRefresh
-			c.eng.After(cfg.TREFI, ch.refresh)
-		}
+	}
+	if cfg.refreshOn() {
+		c.refresh, c.refreshEnd = c.startRefresh, c.endRefresh
+		c.eng.AfterN(cfg.TREFI, cfg.Channels, c.refresh)
 	}
 	c.registerMetrics()
 	return c
@@ -238,27 +248,35 @@ func (c *Controller) registerMetrics() {
 	})
 }
 
-// startRefresh is the periodic all-bank refresh of a channel, armed
-// every TREFI: the channel stops accepting new requests for TRFC and all
-// rows close (the next accesses miss).
-func (ch *channel) startRefresh() {
-	c := ch.c
-	now := c.eng.Now()
-	ch.refreshUntil = now + c.cfg.TRFC
-	c.stats.Refreshes++
-	c.acct.Add(energy.DRAMActivate, c.cfg.RefreshNJ*1e-9)
-	for b := range ch.banks {
-		ch.banks[b].openRow = -1
+// startRefresh is the periodic all-bank refresh, armed every TREFI:
+// each channel stops accepting new requests for TRFC and all its rows
+// close (the next accesses miss). All channels refresh in lockstep, and
+// one event per channel, armed back to back, would fire back to back in
+// channel order; so one event, counted as one per channel, walks the
+// channels in that order. Its end and its next start are far enough
+// apart (validate keeps TRFC below TREFI) that the ends fire back to
+// back too.
+func (c *Controller) startRefresh() {
+	until := c.eng.Now() + c.cfg.TRFC
+	for _, ch := range c.chans {
+		ch.refreshUntil = until
+		c.stats.Refreshes++
+		c.acct.Add(energy.DRAMActivate, c.cfg.RefreshNJ*1e-9)
+		for b := range ch.banks {
+			ch.banks[b].openRow = -1
+		}
 	}
-	if ch.refreshEnd == nil {
-		ch.refreshEnd = ch.endRefresh
-	}
-	c.eng.After(c.cfg.TRFC, ch.refreshEnd)
-	c.eng.After(c.cfg.TREFI, ch.refresh)
+	c.eng.AfterN(c.cfg.TRFC, len(c.chans), c.refreshEnd)
+	c.eng.AfterN(c.cfg.TREFI, len(c.chans), c.refresh)
 }
 
-// endRefresh resumes service once a refresh cycle completes.
-func (ch *channel) endRefresh() { ch.c.startNext(ch) }
+// endRefresh resumes service on every channel, in channel order, once a
+// refresh cycle completes.
+func (c *Controller) endRefresh() {
+	for _, ch := range c.chans {
+		c.startNext(ch)
+	}
+}
 
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }

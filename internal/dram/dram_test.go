@@ -47,6 +47,10 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.InterleaveBytes = -1 },
 		func(c *Config) { c.ChannelBPS = 0 },
 		func(c *Config) { c.BWWindow = 0 },
+		// A refresh cycle as long as the interval: ends and next starts
+		// would interleave.
+		func(c *Config) { c.TRFC = c.TREFI },
+		func(c *Config) { c.TRFC = 2 * c.TREFI },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig()
@@ -61,6 +65,17 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Ideal = true
 	if err := cfg.validate(); err != nil {
 		t.Errorf("ideal config rejected: %v", err)
+	}
+	// TRFC is only bounded while refresh is on.
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.TRFC, c.TREFI = 130, 0 },
+		func(c *Config) { c.TRFC, c.Ideal = 2*c.TREFI, true },
+	} {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		if err := cfg.validate(); err != nil {
+			t.Errorf("refresh-off config rejected: %v", err)
+		}
 	}
 }
 
@@ -497,6 +512,34 @@ func TestRefreshCadence(t *testing.T) {
 	got := c.Stats().Refreshes
 	if got < want*9/10 || got > want*11/10 {
 		t.Errorf("refreshes = %d, want ~%d over 1ms", got, want)
+	}
+}
+
+// TestRefreshEventArithmetic checks the refresh counters and the
+// engine's model-event counts against the per-channel arithmetic at
+// every TREFI/2 over 1 ms: each channel starts a refresh at every
+// k·TREFI and ends it TRFC later, one start is always pending, and an
+// end is pending while a refresh is in progress.
+func TestRefreshEventArithmetic(t *testing.T) {
+	eng, c, _ := newTestController(t, func(cfg *Config) { *cfg = DefaultConfig() })
+	cfg := c.Config()
+	ch := uint64(cfg.Channels)
+	for now := cfg.TREFI / 2; now <= sim.Millisecond; now += cfg.TREFI / 2 {
+		eng.Run(now)
+		starts := uint64(now / cfg.TREFI)
+		ends := starts
+		if starts > 0 && now-sim.Time(starts)*cfg.TREFI < cfg.TRFC {
+			ends--
+		}
+		if got := c.Stats().Refreshes; got != ch*starts {
+			t.Fatalf("at %v: Refreshes = %d, want %d", now, got, ch*starts)
+		}
+		if got := eng.Fired(); got != ch*(starts+ends) {
+			t.Fatalf("at %v: Fired = %d, want %d", now, got, ch*(starts+ends))
+		}
+		if got := uint64(eng.Pending()); got != ch*(1+starts-ends) {
+			t.Fatalf("at %v: Pending = %d, want %d", now, got, ch*(1+starts-ends))
+		}
 	}
 }
 

@@ -228,6 +228,10 @@ type Core struct {
 	lastLane   *Lane
 	rrServed   int // sub-frames served on lastLane (RR quantum)
 	kickQueued bool
+	// wakeTag lets a patience wake merge into an identical one queued
+	// straight ahead of it (see holdForCurrentLane). Bound with wakeFn;
+	// it sits in kickQueued's padding, so the Core grows no size class.
+	wakeTag    sim.Tag
 	phase      Phase
 	phaseSince sim.Time
 	stats      Stats
@@ -429,6 +433,7 @@ func (c *Core) kick() {
 func (c *Core) bind() {
 	c.dispatchFn = c.kicked
 	c.wakeFn = c.kick
+	c.wakeTag = c.eng.NewTag()
 	c.stepFn = c.stepActive
 	c.computeDoneFn = c.computeDone
 	c.transferDoneFn = c.emitDone
@@ -612,6 +617,11 @@ func (c *Core) runnableHeads() []*Job {
 // is merely transiently blocked, hold the datapath rather than paying a
 // context switch that will immediately bounce back. It reports whether
 // the scheduler should wait.
+//
+// Every dispatch pass that holds arms a wake at the same instant, so
+// wakes pile up back to back. They merge: kick is idempotent back to
+// back (after one call kickQueued or active is set, and the next call
+// returns at once), so one call stands for the run.
 func (c *Core) holdForCurrentLane(best *Job) bool {
 	if best == nil || c.lastLane == nil || best.lane == c.lastLane || c.cfg.SwitchPatience <= 0 {
 		return false
@@ -622,7 +632,7 @@ func (c *Core) holdForCurrentLane(best *Job) bool {
 	}
 	waited := c.eng.Now() - cur.blockedAt
 	if cur.blockedAt >= 0 && waited < c.cfg.SwitchPatience {
-		c.eng.At(cur.blockedAt+c.cfg.SwitchPatience, c.wakeFn)
+		c.eng.AtMerge(cur.blockedAt+c.cfg.SwitchPatience, c.wakeTag, c.wakeFn)
 		return true
 	}
 	return false

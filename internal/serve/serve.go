@@ -60,6 +60,7 @@ import (
 	"github.com/vipsim/vip/internal/metrics"
 	"github.com/vipsim/vip/internal/parallel"
 	"github.com/vipsim/vip/internal/stats"
+	"github.com/vipsim/vip/internal/workload"
 	"github.com/vipsim/vip/vip"
 )
 
@@ -228,7 +229,8 @@ const (
 	// minMetricsIntervalMS floors a non-zero sampler period; the time
 	// series grows as duration over interval.
 	minMetricsIntervalMS = 1
-	// maxApps caps the ids in apps, counting a workload id as one.
+	// maxApps caps the apps the request runs, with each workload id
+	// expanded to its apps.
 	maxApps = 8
 )
 
@@ -239,12 +241,18 @@ func (r SimRequest) scenario() (vip.Scenario, error) {
 		return vip.Scenario{}, fmt.Errorf("duration_ms must be at most %d (got %g)", maxDurationMS, r.DurationMS)
 	case r.MetricsIntervalMS != 0 && r.MetricsIntervalMS < minMetricsIntervalMS:
 		return vip.Scenario{}, fmt.Errorf("metrics_interval_ms must be 0 or at least %d (got %g)", minMetricsIntervalMS, r.MetricsIntervalMS)
-	case len(r.Apps) > maxApps:
-		return vip.Scenario{}, fmt.Errorf("apps lists %d ids; at most %d are allowed", len(r.Apps), maxApps)
+	case len(r.Apps) > maxApps: // each id is at least one app
+		return vip.Scenario{}, fmt.Errorf("apps lists %d ids; at most %d apps are allowed", len(r.Apps), maxApps)
+	}
+	apps, err := workload.Expand(r.Apps)
+	if err != nil {
+		return vip.Scenario{}, err
+	}
+	if len(apps) > maxApps {
+		return vip.Scenario{}, fmt.Errorf("apps expand to %d apps; at most %d are allowed", len(apps), maxApps)
 	}
 	sys := vip.SystemVIP
 	if r.System != "" {
-		var err error
 		if sys, err = vip.ParseSystem(r.System); err != nil {
 			return vip.Scenario{}, err
 		}

@@ -253,8 +253,9 @@ func TestSimCoalescesIdenticalInflight(t *testing.T) {
 
 // TestSimRejectsBadRequests: malformed JSON, unknown fields, unknown
 // systems and apps, and requests past a size bound (an 11-day
-// duration, a 1 ns sampler, 200 app ids) all answer 400 with a JSON
-// error and run nothing; a request at every bound lowers cleanly.
+// duration, a 1 ns sampler, 200 app ids, eight workload ids that
+// expand to 24 apps) all answer 400 with a JSON error and run nothing;
+// a request at every bound lowers cleanly.
 func TestSimRejectsBadRequests(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -270,6 +271,7 @@ func TestSimRejectsBadRequests(t *testing.T) {
 		`{"apps":["A5"],"duration_ms":1e9}`,
 		`{"apps":["A5"],"metrics_interval_ms":1e-6}`,
 		`{"apps":["A5"` + strings.Repeat(`,"A5"`, 199) + `]}`,
+		`{"apps":["W2"` + strings.Repeat(`,"W2"`, 7) + `]}`, // 8 ids, 24 apps
 	} {
 		resp, b := post(t, ts.URL, "/v1/sim", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -282,10 +284,8 @@ func TestSimRejectsBadRequests(t *testing.T) {
 	if runs := s.EngineRuns(); runs != 0 {
 		t.Errorf("engine runs = %d, want 0", runs)
 	}
-	atBounds := SimRequest{Apps: make([]string, maxApps), DurationMS: maxDurationMS, MetricsIntervalMS: minMetricsIntervalMS}
-	for i := range atBounds.Apps {
-		atBounds.Apps[i] = "W1"
-	}
+	// Four W1 ids are eight apps.
+	atBounds := SimRequest{Apps: []string{"W1", "W1", "W1", "W1"}, DurationMS: maxDurationMS, MetricsIntervalMS: minMetricsIntervalMS}
 	lower(t, atBounds)
 
 	resp, _ := get(t, ts.URL, "/v1/jobs/nope")

@@ -366,12 +366,14 @@ func TestEngineStepClearsPoppedSlot(t *testing.T) {
 }
 
 // TestEngineZeroAllocSteadyState asserts the scheduling hot path is
-// allocation-free once the pre-sized queue is warm: At/After append into
-// the existing backing array and Step pops without boxing, so a
-// schedule+fire round costs zero heap allocations.
+// allocation-free once the pre-sized queue is warm: At/After, AfterN and
+// AtMerge append into the existing backing array (or merge in place)
+// and Step pops without boxing, so a schedule+fire round costs zero
+// heap allocations.
 func TestEngineZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
+	tag := e.NewTag()
 	for i := 0; i < 64; i++ {
 		e.After(Time(i%7), fn)
 	}
@@ -381,6 +383,16 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("schedule+fire = %v allocs/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		e.AfterN(3, 4, fn)
+		e.AtMerge(e.Now()+3, tag, fn)
+		e.AtMerge(e.Now()+3, tag, fn) // merges into the one above
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("weighted and merged schedule+fire = %v allocs/op, want 0", allocs)
 	}
 	e.Drain()
 }
@@ -411,58 +423,95 @@ func TestEngineZeroAllocChurn(t *testing.T) {
 }
 
 // TestEngineQueueMatchesStableSort is a randomized model check of the
-// event queue. It interleaves At/After calls with Step and Run(until)
-// horizons, using zero delays, repeated timestamps and callbacks that
-// schedule more events (often at their own instant). Events must fire
-// in the order of a stable sort by (time, schedule index), and the
-// queue head and Pending must match a reference queue after every
-// operation.
+// event queue. It interleaves At/After/AfterN/AtMerge calls with Step
+// and Run(until) horizons, using zero delays, repeated timestamps and
+// callbacks that schedule more events (often at their own instant).
+// The reference keeps every model event as its own entry: AfterN
+// schedules n entries that one call runs, and an AtMerge entry joins
+// the call of the entry just ahead of it when that entry has the same
+// tag and instant. Calls must come in the order of a stable sort of
+// the calls by (time, schedule index), and Fired, Pending, Now and the
+// queue head must match the reference after every operation.
 // With no sequence number in the queue, this pins same-instant FIFO
-// under nesting.
+// under nesting. Each schedule gets its own fn, so the calls show which
+// one of a merged run the engine made.
 func TestEngineQueueMatchesStableSort(t *testing.T) {
 	type ref struct {
-		at  Time
-		idx int // schedule index
+		at   Time
+		call int // schedule index of the call that runs this model event
+		tag  Tag
 	}
+	merges := 0
 	for seed := uint64(1); seed <= 200; seed++ {
 		r := NewRNG(seed)
 		e := NewEngine()
-		var scheduled, fired []ref
-		var pending []ref // the reference queue, in (time, index) order
+		tags := []Tag{e.NewTag(), e.NewTag()}
+		var calls, made []ref // one per handler call: scheduled, made
+		var pending []ref     // the reference queue, in (time, index) order
+		var fired uint64
 		var schedule func(depth int)
 		schedule = func(depth int) {
 			d := Time(r.Intn(50))
 			if r.Intn(2) == 0 {
 				d = Time(r.Intn(3)) // clustered: zero delays, repeated timestamps
 			}
-			ev := ref{at: e.Now() + d, idx: len(scheduled)}
+			ev := ref{at: e.Now() + d, call: len(calls)}
+			weight := 1
 			fn := func() {
-				if pending[0] != ev || e.Now() != ev.at {
-					t.Fatalf("seed %d: fired event %d at %v, reference expects event %d at %v",
-						seed, ev.idx, e.Now(), pending[0].idx, pending[0].at)
+				k := 1
+				for k < len(pending) && pending[k].call == ev.call {
+					k++
 				}
-				pending = pending[1:]
-				fired = append(fired, ev)
+				if pending[0] != ev || e.Now() != ev.at {
+					t.Fatalf("seed %d: call %d at %v, reference expects call %d at %v",
+						seed, ev.call, e.Now(), pending[0].call, pending[0].at)
+				}
+				pending = pending[k:]
+				fired += uint64(k)
+				if e.Fired() != fired || e.Pending() != len(pending) {
+					t.Fatalf("seed %d: call %d sees Fired %d, Pending %d; reference %d, %d",
+						seed, ev.call, e.Fired(), e.Pending(), fired, len(pending))
+				}
+				made = append(made, ev)
 				for n := r.Intn(3); depth < 3 && n > 0; n-- {
 					schedule(depth + 1)
 				}
 			}
-			if r.Intn(2) == 0 {
-				e.At(ev.at, fn)
-			} else {
-				e.After(d, fn)
-			}
-			scheduled = append(scheduled, ev)
 			i := sort.Search(len(pending), func(k int) bool { return pending[k].at > ev.at })
-			pending = slices.Insert(pending, i, ev)
+			switch r.Intn(6) {
+			case 0:
+				e.At(ev.at, fn)
+			case 1, 2:
+				e.After(d, fn)
+			case 3:
+				weight = 1 + r.Intn(4)
+				e.AfterN(d, weight, fn)
+			default:
+				ev.tag = tags[r.Intn(len(tags))]
+				e.AtMerge(ev.at, ev.tag, fn)
+				if i > 0 && pending[i-1].tag == ev.tag && pending[i-1].at == ev.at {
+					// Merged: the call ahead runs this model event too.
+					merges++
+					pending = slices.Insert(pending, i, pending[i-1])
+					return
+				}
+			}
+			calls = append(calls, ev)
+			for range weight {
+				pending = slices.Insert(pending, i, ev)
+			}
 		}
 		for op := 0; op < 300; op++ {
 			switch r.Intn(5) {
 			case 0, 1, 2:
 				schedule(0)
 			case 3:
-				if had := len(pending) > 0; e.Step() != had {
+				had := len(pending) > 0
+				if e.Step() != had {
 					t.Fatalf("seed %d op %d: Step disagrees with the reference", seed, op)
+				}
+				if had && e.Now() != made[len(made)-1].at {
+					t.Fatalf("seed %d op %d: Step left now at %v, reference %v", seed, op, e.Now(), made[len(made)-1].at)
 				}
 			case 4:
 				until := e.Now() + Time(r.Intn(40))
@@ -471,19 +520,104 @@ func TestEngineQueueMatchesStableSort(t *testing.T) {
 					t.Fatalf("seed %d op %d: Run(%v) left now at %v, reference %v", seed, op, until, e.Now(), pending)
 				}
 			}
-			if e.Pending() != len(pending) {
-				t.Fatalf("seed %d op %d: Pending = %d; reference %v", seed, op, e.Pending(), pending)
+			if e.Pending() != len(pending) || e.Fired() != fired {
+				t.Fatalf("seed %d op %d: Pending %d, Fired %d; reference %d, %d",
+					seed, op, e.Pending(), e.Fired(), len(pending), fired)
 			}
 			if len(pending) > 0 && e.q.peek().at != pending[0].at {
 				t.Fatalf("seed %d op %d: queue head at %v; reference %v", seed, op, e.q.peek().at, pending)
 			}
 		}
 		e.Drain()
-		want := slices.Clone(scheduled)
+		want := slices.Clone(calls)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
-		if !slices.Equal(fired, want) {
-			t.Fatalf("seed %d: fired %v, stable sort %v", seed, fired, want)
+		if !slices.Equal(made, want) || len(pending) != 0 || e.Pending() != 0 || e.Fired() != fired {
+			t.Fatalf("seed %d: calls %v, stable sort %v; %d pending", seed, made, want, len(pending))
 		}
+	}
+	if merges == 0 {
+		t.Fatal("no AtMerge event merged; the check proves nothing")
+	}
+}
+
+// TestEngineMergeRules pins when AtMerge events merge: only into the
+// event that fires immediately before, with the same tag and instant.
+// An unrelated event at that instant between them, another tag,
+// another instant, or a predecessor that has already fired keeps them
+// apart.
+func TestEngineMergeRules(t *testing.T) {
+	type push struct {
+		at   Time
+		tag  int // index into the engine's tags; -1 schedules with At
+		name string
+	}
+	cases := []struct {
+		name   string
+		pushes []push
+		nested *push // scheduled by the first call, at its instant
+		calls  string
+	}{
+		{"same tag and instant", []push{{5, 0, "a"}, {5, 0, "b"}, {5, 0, "c"}}, nil, "a"},
+		{"unrelated event between", []push{{5, 0, "a"}, {5, -1, "x"}, {5, 0, "b"}}, nil, "axb"},
+		{"unrelated event behind a merged pair", []push{{5, 0, "a"}, {5, 0, "b"}, {5, -1, "x"}, {5, 0, "c"}}, nil, "axc"},
+		{"earlier event pushed between", []push{{5, 0, "a"}, {4, -1, "x"}, {5, 0, "b"}}, nil, "xa"},
+		{"other tag", []push{{5, 0, "a"}, {5, 1, "b"}}, nil, "ab"},
+		{"other instant", []push{{5, 0, "a"}, {6, 0, "b"}}, nil, "ab"},
+		{"untagged pair", []push{{5, -1, "a"}, {5, -1, "b"}}, nil, "ab"},
+		{"predecessor already fired", []push{{5, 0, "a"}}, &push{5, 0, "b"}, "ab"},
+	}
+	for _, c := range cases {
+		e := NewEngine()
+		tags := []Tag{e.NewTag(), e.NewTag()}
+		var calls string
+		var nestedDone bool
+		sched := func(p push) {
+			fn := func() {
+				calls += p.name
+				if c.nested != nil && !nestedDone {
+					nestedDone = true
+					q := *c.nested
+					e.AtMerge(q.at, tags[q.tag], func() { calls += q.name })
+				}
+			}
+			if p.tag < 0 {
+				e.At(p.at, fn)
+			} else {
+				e.AtMerge(p.at, tags[p.tag], fn)
+			}
+		}
+		for _, p := range c.pushes {
+			sched(p)
+		}
+		if e.Pending() != len(c.pushes) {
+			t.Errorf("%s: Pending = %d, want %d", c.name, e.Pending(), len(c.pushes))
+		}
+		e.Drain()
+		want := uint64(len(c.pushes))
+		if c.nested != nil {
+			want++
+		}
+		if calls != c.calls || e.Fired() != want || e.Pending() != 0 {
+			t.Errorf("%s: calls %q, Fired %d, Pending %d; want %q, %d, 0", c.name, calls, e.Fired(), e.Pending(), c.calls, want)
+		}
+	}
+}
+
+func TestEnginePanicsOnBadMergeOrWeight(t *testing.T) {
+	for name, f := range map[string]func(e *Engine){
+		"zero tag":    func(e *Engine) { e.AtMerge(0, 0, func() {}) },
+		"zero weight": func(e *Engine) { e.AfterN(0, 0, func() {}) },
+		"nil AfterN":  func(e *Engine) { e.AfterN(0, 2, nil) },
+		"past merge":  func(e *Engine) { e.Run(10); e.AtMerge(5, e.NewTag(), func() {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f(NewEngine())
+		}()
 	}
 }
 

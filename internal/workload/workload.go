@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/vipsim/vip/internal/app"
@@ -249,15 +250,32 @@ func Workloads() []Workload {
 	}
 }
 
+// table2 is Table 2 built once for lookups: Expand reads it in place,
+// so expanding a workload id allocates no table.
+var table2 = Workloads()
+
 // ByID returns a Table 2 workload by identifier.
 func ByID(id string) (Workload, error) {
-	for _, w := range Workloads() {
+	w, ok := lookup(id)
+	if !ok {
+		return Workload{}, unknownWorkload(id)
+	}
+	w.AppIDs = slices.Clone(w.AppIDs)
+	return w, nil
+}
+
+// lookup returns id's entry of table2, sharing its AppIDs.
+func lookup(id string) (Workload, bool) {
+	for _, w := range table2 {
 		if w.ID == id {
-			return w, nil
+			return w, true
 		}
 	}
-	return Workload{}, fmt.Errorf("workload: unknown workload %q", id)
+	return Workload{}, false
 }
+
+// unknownWorkload is the error for an id that names no Table 2 workload.
+func unknownWorkload(id string) error { return fmt.Errorf("workload: unknown workload %q", id) }
 
 // Expand flattens Table 1 application ids and Table 2 workload ids into
 // the application ids a run simulates: each workload id becomes its app
@@ -267,9 +285,9 @@ func Expand(ids []string) ([]string, error) {
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
 		if strings.HasPrefix(id, "W") {
-			w, err := ByID(id)
-			if err != nil {
-				return nil, err
+			w, ok := lookup(id)
+			if !ok {
+				return nil, unknownWorkload(id)
 			}
 			out = append(out, w.AppIDs...)
 			continue

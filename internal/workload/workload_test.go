@@ -167,6 +167,21 @@ func TestExpand(t *testing.T) {
 	}
 }
 
+// TestExpandAllocatesOnlyItsResult: expanding ids reads Table 2 in
+// place (vipserve expands every request's ids to bound its size), and
+// ByID hands out a copy its caller may modify.
+func TestExpandAllocatesOnlyItsResult(t *testing.T) {
+	// The result, and its one growth past len(ids); no table.
+	if n := testing.AllocsPerRun(100, func() { _, _ = Expand([]string{"W2", "A1"}) }); n > 2 {
+		t.Errorf("Expand = %v allocs, want at most 2", n)
+	}
+	w, _ := ByID("W2")
+	w.AppIDs[0] = "A9"
+	if got, _ := Expand([]string{"W2"}); got[0] != "A5" {
+		t.Errorf("modifying ByID's AppIDs changed Table 2: W2 expands to %v", got)
+	}
+}
+
 func TestByIDUnknown(t *testing.T) {
 	if _, err := ByID("W99"); err == nil {
 		t.Error("unknown workload accepted")

@@ -21,6 +21,7 @@ var goldenDigests = map[string]map[string]string{
 	"vip-engine/1": {
 		"4xA5/Baseline/report":      "3ed91656822c7c6ba3b2f54ebc89fbebd645afb4036bb15703bb9ccc94dbd9f2",
 		"4xA5/VIP/report":           "7a622cac044a9882fa3405b6e04870a1efc178835f48b6c7b11a69e1b25beadd",
+		"4xA5/VIP/ts-json-1us":      "447c5b8a339480057d3fd1c5cf333b0e3fcd6e5e9685b8a691d06389355430a4",
 		"W4/IP-to-IP+FB/report":     "95a4ac975a618b4314cfc99758bbb2316d8e335a29f57be2bec6a15767bce35e",
 		"faulted-baseline/report":   "73bf8f569a1a2997ce253f4fb2b5d129aaca19990e489c967ac73da4e0358a71",
 		"faulted-norecovery/report": "deac3d6b37771bf1734dcc49640eebf894070d2bab399f8807279649b540fd6d",
@@ -31,10 +32,10 @@ var goldenDigests = map[string]map[string]string{
 }
 
 // goldenRuns computes the digests goldenDigests pins: 4×A5 on Baseline
-// and on VIP, the W4 mix on IP-to-IP+FB, the faulted, metered, traced
-// scenario of TestSameSeedByteIdentical (report, time series and span
-// log), and the other two arms of its fault mix: recovery off on VIP,
-// and recovery on over Baseline.
+// and on VIP, the W4 mix on IP-to-IP+FB, a 1 µs time series of 4×A5 on
+// VIP, the faulted, metered, traced scenario of TestSameSeedByteIdentical
+// (report, time series and span log), and the other two arms of its
+// fault mix: recovery off on VIP, and recovery on over Baseline.
 func goldenRuns(t *testing.T) map[string]string {
 	t.Helper()
 	sum := func(b []byte) string {
@@ -91,6 +92,20 @@ func goldenRuns(t *testing.T) map[string]string {
 		}
 		got[c.key+"/report"] = sum(buf.Bytes())
 	}
+	// Sampling every microsecond reads the sim.pending_events gauge
+	// between nearly every pair of instants, so it pins the engine's
+	// pending count, which no report carries, where back-to-back
+	// patience wake-ups and refresh events are queued.
+	res, err := vip.Simulate(vip.Scenario{System: vip.SystemVIP, Apps: []string{"A5", "A5", "A5", "A5"},
+		Duration: 10 * vip.Millisecond, Seed: 1, MetricsInterval: vip.Millisecond / 1000})
+	if err != nil {
+		t.Fatalf("4xA5/VIP/ts-json-1us: %v", err)
+	}
+	var ts bytes.Buffer
+	if err := res.WriteTimeSeriesJSON(&ts); err != nil {
+		t.Fatalf("4xA5/VIP/ts-json-1us: %v", err)
+	}
+	got["4xA5/VIP/ts-json-1us"] = sum(ts.Bytes())
 	faulted := runOnce(t, 7)
 	got["faulted-traced/report"] = sum(faulted.report)
 	got["faulted-traced/ts-json"] = sum(faulted.tsJSON)
