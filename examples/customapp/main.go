@@ -19,14 +19,14 @@ func main() {
 		Stage(vip.Camera, vip.FrameCamera).
 		Stage(vip.ImageProc, vip.FrameCamera).
 		Stage(vip.Display, 0).
-		CPUWork(20*1000, 15000). // 20us of app logic per frame
+		CPUWork(20*1000). // 20us of app logic per frame
 		Display().
 		Done().
 		Flow("record-front", 30, 0).
 		Stage(vip.Camera, vip.FrameCamera).
 		Stage(vip.VideoEncoder, vip.BitstreamCam).
 		Stage(vip.Storage, 0).
-		CPUWork(20*1000, 15000).
+		CPUWork(20*1000).
 		Done().
 		Flow("record-audio", 60, 0).
 		Stage(vip.Microphone, vip.FrameAudio).

@@ -118,9 +118,9 @@ func effectfulCall(pass *Pass, call *ast.CallExpr) string {
 	}
 	if recv != nil {
 		switch recv.Obj().Name() + "." + fn.Name() {
-		case "Registry.Gauge", "Registry.Counter", "Registry.Distribution":
+		case "Registry.Gauge", "Registry.Distribution":
 			return "registers metrics via " + recv.Obj().Name() + "." + fn.Name()
-		case "Counter.Add", "Counter.Inc", "Distribution.Observe":
+		case "Distribution.Observe":
 			return "records metrics via " + recv.Obj().Name() + "." + fn.Name()
 		case "Recorder.Emit", "Recorder.Instant", "Recorder.Phase", "Recorder.PhaseMark",
 			"Recorder.FrameSubmit", "Recorder.FrameDrop", "Recorder.Frame",

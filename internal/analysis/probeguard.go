@@ -12,7 +12,7 @@ import (
 // would mutate the registry mid-run (and, behind a sampler, mid-sample).
 var constructionFunc = regexp.MustCompile(`^(New|new|Register|register|Start|start|Init|init)`)
 
-// ProbeGuard confines Registry.Counter/Distribution/Gauge registration
+// ProbeGuard confines Registry.Distribution/Gauge registration
 // to component construction: late registration would change the
 // sampler's gauge set mid-run and desynchronize exported series. The
 // probes themselves (telemetry.Recorder, metrics.Registry and its
@@ -53,7 +53,7 @@ func runProbeGuard(pass *Pass) error {
 	return nil
 }
 
-// checkRegistration flags Registry.Counter/Distribution/Gauge calls
+// checkRegistration flags Registry.Distribution/Gauge calls
 // whose innermost named function is not a constructor/registrar. A
 // function literal between the call and the named function means the
 // registration runs at some later, unpredictable time, which is flagged
@@ -68,7 +68,7 @@ func checkRegistration(pass *Pass, call *ast.CallExpr, funcStack []ast.Node) {
 		return
 	}
 	switch fn.Name() {
-	case "Counter", "Distribution", "Gauge":
+	case "Distribution", "Gauge":
 	default:
 		return
 	}

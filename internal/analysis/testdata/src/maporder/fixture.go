@@ -42,10 +42,10 @@ func emitsSpans(rec *telemetry.Recorder, m map[string]int) {
 	}
 }
 
-// records: metric mutations in map order.
-func records(c *metrics.Counter, m map[string]float64) {
-	for _, v := range m { // want `records metrics via Counter\.Add`
-		c.Add(v)
+// records: metric observations in map order.
+func records(d *metrics.Distribution, m map[string]float64) {
+	for _, v := range m { // want `records metrics via Distribution\.Observe`
+		d.Observe(v)
 	}
 }
 
@@ -101,9 +101,9 @@ func localAppend(m map[string][]int) int {
 
 // allowed shows the escape hatch for a consciously order-insensitive
 // effect.
-func allowed(c *metrics.Counter, m map[string]float64) {
-	//viplint:allow maporder -- Counter.Add is commutative over this fixed set
+func allowed(d *metrics.Distribution, m map[string]float64) {
+	//viplint:allow maporder -- the summary is order-free over this fixed set
 	for _, v := range m {
-		c.Add(v)
+		d.Observe(v)
 	}
 }

@@ -10,7 +10,7 @@ type config struct {
 
 type component struct {
 	cfg    config
-	frames *metrics.Counter
+	frames *metrics.Distribution
 }
 
 // New registers at construction: the blessed place.
@@ -23,18 +23,18 @@ func New(cfg config) *component {
 // registerMetrics is reachable from New, so registration here is fine.
 func (c *component) registerMetrics() {
 	reg := c.cfg.Metrics
-	c.frames = reg.Counter("fixture.frames")
+	c.frames = reg.Distribution("fixture.frames")
 	reg.Gauge("fixture.depth", func() float64 { return 0 })
 }
 
-// nilSafeProbes: counter/distribution methods are nil-safe by design.
+// nilSafeProbes: distribution methods are nil-safe by design.
 func (c *component) nilSafeProbes() {
-	c.frames.Inc()
+	c.frames.Observe(1)
 }
 
 // lateRegistration mutates the registry mid-run.
 func (c *component) lateRegistration() {
-	c.frames = c.cfg.Metrics.Counter("fixture.late")                 // want `metrics registration via Registry\.Counter in lateRegistration`
+	c.frames = c.cfg.Metrics.Distribution("fixture.late")            // want `metrics registration via Registry\.Distribution in lateRegistration`
 	c.cfg.Metrics.Gauge("fixture.late", func() float64 { return 1 }) // want `metrics registration via Registry\.Gauge in lateRegistration`
 }
 
@@ -47,5 +47,5 @@ func NewDeferred(cfg config) func() {
 
 // allowed shows the escape hatch.
 func (c *component) allowed() {
-	_ = c.cfg.Metrics.Counter("fixture.allowed") //viplint:allow probeguard -- test-only registration fixture
+	_ = c.cfg.Metrics.Distribution("fixture.allowed") //viplint:allow probeguard -- test-only registration fixture
 }

@@ -85,10 +85,9 @@ type Flow struct {
 	// sensor source.
 	InBytes int
 	Stages  []Stage
-	// CPUPrep/CPUPrepInstr is per-frame application-level CPU work
-	// (e.g. game logic, demuxing) performed before the flow is kicked.
-	CPUPrep      sim.Time
-	CPUPrepInstr uint64
+	// CPUPrep is per-frame application-level CPU work (e.g. game logic,
+	// demuxing) performed before the flow is kicked.
+	CPUPrep sim.Time
 	// Display marks the flow whose completion is the on-screen frame
 	// (QoS is judged on display flows).
 	Display bool

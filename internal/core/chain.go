@@ -128,13 +128,13 @@ type Chain struct {
 type chainManager struct {
 	p      *platform.Platform
 	nextID int
-	// laneUse counts flows bound per (kind, lane) so distinct flows get
-	// distinct lanes while the hardware has capacity.
-	laneUse map[ipcore.Kind][]int
+	// laneUse counts flows bound per lane, indexed by kind, so distinct
+	// flows get distinct lanes while the hardware has capacity.
+	laneUse [ipcore.NumKinds][]int
 }
 
 func newChainManager(p *platform.Platform) *chainManager {
-	return &chainManager{p: p, laneUse: make(map[ipcore.Kind][]int)}
+	return &chainManager{p: p}
 }
 
 // open instantiates a chain for a flow, mirroring the API extension the
@@ -165,10 +165,9 @@ func (m *chainManager) open(flowID int, f *app.Flow) (*Chain, error) {
 // assignLane picks the least-loaded lane of the IP; on single-lane
 // hardware every flow shares lane 0.
 func (m *chainManager) assignLane(k ipcore.Kind) int {
-	core := m.p.IP(k)
-	use, ok := m.laneUse[k]
-	if !ok {
-		use = make([]int, core.Lanes())
+	use := m.laneUse[k]
+	if use == nil {
+		use = make([]int, m.p.IP(k).Lanes())
 		m.laneUse[k] = use
 	}
 	best := 0
@@ -186,8 +185,8 @@ func (m *chainManager) assignLane(k ipcore.Kind) int {
 // single-lane hardware (or if every other lane is worse off) the hop
 // stays put and waits for repair.
 func (m *chainManager) moveLane(k ipcore.Kind, from int) int {
-	use, ok := m.laneUse[k]
-	if !ok || len(use) <= 1 {
+	use := m.laneUse[k]
+	if len(use) <= 1 {
 		return from
 	}
 	best := -1

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/vipsim/vip/internal/cpu"
 	"github.com/vipsim/vip/internal/ipcore"
 	"github.com/vipsim/vip/internal/sim"
@@ -42,31 +44,29 @@ func (r *Runner) armFrameTimeout(fs *flowState, frame int, at sim.Time) {
 // baseline DRAM-staged path (with backoff) or abandoned once the retry
 // budget is spent.
 func (r *Runner) checkFrame(fs *flowState, frame int) {
-	if _, ok := fs.unfinished[frame]; !ok {
+	rec := fs.record(frame)
+	if rec == nil {
 		return
 	}
 	fs.faults++
 	r.frameTimeouts++
-	r.mFrameTimeouts.Inc()
 	if r.phases != nil {
 		r.phases.PhaseMark("driver", "fault/timeout/"+fs.spec.Name, r.p.Eng.Now())
 	}
 	r.spans.Detour(fs.track, frame, "timeout", r.p.Eng.Now())
-	attempt := fs.attempts[frame]
+	attempt := rec.attempts
 	if attempt >= retryLimit {
 		r.failFrame(fs, frame)
 		return
 	}
-	fs.attempts[frame] = attempt + 1
+	rec.attempts++
 	r.frameRetries++
-	r.mFrameRetries.Inc()
-	r.abortFrameJobs(fs, frame)
+	r.abortFrameJobs(rec)
 	if !fs.degraded && r.p.Mode().Chained() && fs.faults >= degradeTimeouts {
 		// The chain keeps faulting: future frames of this flow take the
 		// per-frame DRAM-staged path (trading energy for liveness).
 		fs.degraded = true
 		r.degradedFlows++
-		r.mDegraded.Inc()
 		if r.phases != nil {
 			r.phases.PhaseMark("driver", "fault/degrade/"+fs.spec.Name, r.p.Eng.Now())
 		}
@@ -78,7 +78,7 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 	// rings are always allocated.
 	r.timerInterrupt(func() {
 		r.p.Eng.After(backoff, func() {
-			if _, ok := fs.unfinished[frame]; !ok {
+			if fs.record(frame) == nil {
 				return
 			}
 			r.spans.Detour(fs.track, frame, "retry", r.p.Eng.Now())
@@ -92,24 +92,19 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 // its jobs are aborted and the miss is charged as a QoS violation.
 func (r *Runner) failFrame(fs *flowState, frame int) {
 	r.spans.Detour(fs.track, frame, "fail", r.p.Eng.Now())
-	r.abortFrameJobs(fs, frame)
-	delete(fs.unfinished, frame)
-	delete(fs.firstJob, frame)
-	delete(fs.attempts, frame)
-	fs.inFlight--
+	rec, _ := fs.closeFrame(frame)
+	r.abortFrameJobs(&rec)
 	fs.qos.Failed()
 	r.framesFailed++
-	r.mFramesFailed.Inc()
-	r.mViolations.Inc()
 	r.timerInterrupt(nil)
 }
 
 // abortFrameJobs cancels every in-flight stage job of a frame on its IP.
-func (r *Runner) abortFrameJobs(fs *flowState, frame int) {
-	for _, tj := range fs.jobs[frame] {
+func (r *Runner) abortFrameJobs(rec *frameRecord) {
+	for _, tj := range rec.jobs {
 		r.p.IP(tj.kind).Abort(tj.job)
 	}
-	delete(fs.jobs, frame)
+	rec.jobs = nil
 }
 
 // timerInterrupt delivers the recovery layer's watchdog-timer ISR. Unlike
@@ -131,17 +126,11 @@ func (r *Runner) onLaneFault(kind ipcore.Kind, lane int, stranded []*ipcore.Job)
 			}
 		}
 	}
-	seen := make(map[[2]int]bool)
-	for _, j := range stranded {
-		key := [2]int{j.FlowID, j.Frame}
-		if seen[key] {
-			continue
+	for i, j := range stranded {
+		sameFrame := func(k *ipcore.Job) bool { return k.FlowID == j.FlowID && k.Frame == j.Frame }
+		if slices.ContainsFunc(stranded[:i], sameFrame) {
+			continue // the frame is retried once however many jobs it stranded
 		}
-		seen[key] = true
-		fs := r.flows[j.FlowID]
-		if _, ok := fs.unfinished[j.Frame]; !ok {
-			continue
-		}
-		r.checkFrame(fs, j.Frame)
+		r.checkFrame(r.flows[j.FlowID], j.Frame)
 	}
 }

@@ -108,8 +108,9 @@ type Report struct {
 	// fault-free reports keep their exact shape.
 	Faults *FaultReport `json:",omitempty"`
 
-	// Counters and Distributions snapshot the metrics registry at the
-	// end of the run; empty when metrics were disabled.
+	// Counters holds the run's frame and fault counts at the end of the
+	// run, and Distributions the metrics registry's distributions; both
+	// are empty when metrics were disabled.
 	Counters      map[string]float64             `json:",omitempty"`
 	Distributions map[string]metrics.DistSummary `json:",omitempty"`
 }
@@ -222,7 +223,10 @@ func (r *Runner) buildReport() *Report {
 		rep.Sim.MetricsIntervalNS = int64(r.sampler.Interval())
 	}
 	if reg := r.p.Metrics(); reg.Enabled() {
-		rep.Counters = reg.Counters()
+		rep.Counters = make(map[string]float64, len(r.counts))
+		for _, c := range r.counts {
+			rep.Counters[c.name] = c.read()
+		}
 		rep.Distributions = reg.Distributions()
 	}
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/vipsim/vip/internal/app"
@@ -28,31 +28,62 @@ type Runner struct {
 	rollbacks int
 	ran       bool
 
-	// Observability: counters are nil (no-op) when the platform has no
-	// metrics registry; spans is nil (no-op) when span tracing is off,
-	// and phases is spans when it records the phase category, else nil.
+	// Observability: counts and dFlowTimeMS are empty (no-op) when the
+	// platform has no metrics registry; spans is nil (no-op) when span
+	// tracing is off, and phases is spans when it records the phase
+	// category, else nil.
 	spans          *telemetry.Recorder
 	phases         *telemetry.Recorder
 	sampler        *metrics.Sampler
-	mReleased      *metrics.Counter
-	mCompleted     *metrics.Counter
-	mDropped       *metrics.Counter
-	mViolations    *metrics.Counter
-	mRollbacks     *metrics.Counter
+	counts         []count
 	dFlowTimeMS    *metrics.Distribution
 	simWallSeconds float64
 
-	// Fault-recovery bookkeeping (see recovery.go); the counters exist
-	// only when the run has an injector or recovery enabled, so
-	// fault-free reports keep their exact shape.
-	frameTimeouts  int
-	frameRetries   int
-	framesFailed   int
-	degradedFlows  int
-	mFrameTimeouts *metrics.Counter
-	mFrameRetries  *metrics.Counter
-	mFramesFailed  *metrics.Counter
-	mDegraded      *metrics.Counter
+	// Fault-recovery bookkeeping (see recovery.go).
+	frameTimeouts int
+	frameRetries  int
+	framesFailed  int
+	degradedFlows int
+}
+
+// count is one cumulative count of the run, read from the QoS trackers
+// or the runner's own ints, so that each count is kept once. With
+// metrics on, every count is sampled as a gauge and reported in
+// Report.Counters.
+type count struct {
+	name string
+	read metrics.GaugeFunc
+}
+
+// countList lists the run's five frame counts and, when the run has an
+// injector or recovery enabled, its four fault counts; fault-free
+// reports keep their exact shape.
+func (r *Runner) countList() []count {
+	overFlows := func(f func(*app.QoS) int) metrics.GaugeFunc {
+		return func() float64 {
+			n := 0
+			for _, fs := range r.flows {
+				n += f(fs.qos)
+			}
+			return float64(n)
+		}
+	}
+	of := func(n *int) metrics.GaugeFunc { return func() float64 { return float64(*n) } }
+	cs := []count{
+		{"frames.released_total", overFlows(func(q *app.QoS) int { return q.Frames() - q.DroppedFrames() })},
+		{"frames.completed_total", overFlows((*app.QoS).CompletedFrames)},
+		{"frames.dropped_total", overFlows((*app.QoS).DroppedFrames)},
+		{"qos.violations_total", overFlows(func(q *app.QoS) int { return q.Violations() - q.DroppedFrames() })},
+		{"game.rollbacks_total", of(&r.rollbacks)},
+	}
+	if r.p.Injector() != nil || r.recovery {
+		cs = append(cs,
+			count{"fault.frame_timeouts_total", of(&r.frameTimeouts)},
+			count{"fault.frame_retries_total", of(&r.frameRetries)},
+			count{"fault.frames_failed_total", of(&r.framesFailed)},
+			count{"fault.degraded_flows_total", of(&r.degradedFlows)})
+	}
+	return cs
 }
 
 // trackedJob remembers which IP a submitted job went to, so the recovery
@@ -60,6 +91,20 @@ type Runner struct {
 type trackedJob struct {
 	kind ipcore.Kind
 	job  *ipcore.Job
+}
+
+// frameRecord is one released frame that has neither completed nor
+// failed.
+type frameRecord struct {
+	frame int
+	// first is the frame's latest stage-0 job, whose start times the
+	// pipeline traversal.
+	first *ipcore.Job
+	// jobs are the frame's in-flight stage jobs, tracked only when
+	// recovery is on so that a timeout can abort them.
+	jobs []trackedJob
+	// attempts counts the frame's resubmissions.
+	attempts int
 }
 
 // flowState is the runtime of one application flow.
@@ -80,21 +125,44 @@ type flowState struct {
 	stageOut [][]uint64 // per stage: produced output buffers
 
 	nextRelease int
-	inFlight    int
-	unfinished  map[int]sim.Time    // frame -> nominal release
-	firstJob    map[int]*ipcore.Job // frame -> stage-0 job (traversal start)
-	flicking    bool
+	// open holds the released frames that have neither completed nor
+	// failed, in release order, which is frame order; at most
+	// maxBacklog of them.
+	open     []frameRecord
+	flicking bool
 
-	// Recovery state (maps allocated only when recovery is enabled).
-	jobs     map[int][]trackedJob // frame -> in-flight stage jobs
-	attempts map[int]int          // frame -> resubmission count
-	faults   int                  // frame timeouts observed on this flow
-	degraded bool                 // fell back to the Baseline DRAM path
+	// Recovery state.
+	faults   int  // frame timeouts observed on this flow
+	degraded bool // fell back to the Baseline DRAM path
 }
 
 // releaseTime is the nominal release instant of frame i.
 func (fs *flowState) releaseTime(i int) sim.Time {
 	return fs.phase + sim.Time(i)*fs.period
+}
+
+// record returns the open record of a frame, or nil once the frame has
+// completed or failed.
+func (fs *flowState) record(frame int) *frameRecord {
+	for i := range fs.open {
+		if fs.open[i].frame == frame {
+			return &fs.open[i]
+		}
+	}
+	return nil
+}
+
+// closeFrame removes a frame's open record and returns it; ok is false
+// when the frame already completed or failed.
+func (fs *flowState) closeFrame(frame int) (rec frameRecord, ok bool) {
+	for i := range fs.open {
+		if fs.open[i].frame == frame {
+			rec = fs.open[i]
+			fs.open = slices.Delete(fs.open, i, i+1)
+			return rec, true
+		}
+	}
+	return rec, false
 }
 
 // NewRunner validates the inputs and prepares a run. The platform must be
@@ -114,20 +182,15 @@ func NewRunner(p *platform.Platform, apps []app.Spec, opts Options) (*Runner, er
 	}
 	r := &Runner{p: p, opts: opts, recovery: p.Config().Recovery, apps: apps, cm: newChainManager(p),
 		spans: p.Spans(), phases: p.Spans().Phases()}
-	// Counter/distribution handles are nil-safe: on a platform without a
-	// registry they are nil and every increment is a no-op.
+	// The distribution handle is nil-safe: on a platform without a
+	// registry it is nil and every observation is a no-op.
 	reg := p.Metrics()
-	r.mReleased = reg.Counter("frames.released_total")
-	r.mCompleted = reg.Counter("frames.completed_total")
-	r.mDropped = reg.Counter("frames.dropped_total")
-	r.mViolations = reg.Counter("qos.violations_total")
-	r.mRollbacks = reg.Counter("game.rollbacks_total")
 	r.dFlowTimeMS = reg.Distribution("flow.time_ms")
-	if p.Injector() != nil || r.recovery {
-		r.mFrameTimeouts = reg.Counter("fault.frame_timeouts_total")
-		r.mFrameRetries = reg.Counter("fault.frame_retries_total")
-		r.mFramesFailed = reg.Counter("fault.frames_failed_total")
-		r.mDegraded = reg.Counter("fault.degraded_flows_total")
+	if reg.Enabled() {
+		r.counts = r.countList()
+		for _, c := range r.counts {
+			reg.Gauge(c.name, c.read)
+		}
 	}
 	for ai := range apps {
 		a := &apps[ai]
@@ -137,21 +200,16 @@ func NewRunner(p *platform.Platform, apps []app.Spec, opts Options) (*Runner, er
 		for fi := range a.Flows {
 			f := &a.Flows[fi]
 			fs := &flowState{
-				id:         len(r.flows),
-				appIdx:     ai,
-				spec:       f,
-				aspec:      a,
-				qos:        app.NewQoS(f.Period()),
-				period:     f.Period(),
-				phase:      sim.Time(ai)*sim.Millisecond + sim.Time(fi)*250*sim.Microsecond,
-				unfinished: make(map[int]sim.Time),
-				firstJob:   make(map[int]*ipcore.Job),
+				id:     len(r.flows),
+				appIdx: ai,
+				spec:   f,
+				aspec:  a,
+				qos:    app.NewQoS(f.Period()),
+				period: f.Period(),
+				phase:  sim.Time(ai)*sim.Millisecond + sim.Time(fi)*250*sim.Microsecond,
+				open:   make([]frameRecord, 0, maxBacklog),
 			}
 			fs.track = fmt.Sprintf("flow%d:%s/%s", fs.id, a.ID, f.Name)
-			if r.recovery {
-				fs.jobs = make(map[int][]trackedJob)
-				fs.attempts = make(map[int]int)
-			}
 			fs.ring = maxBacklog + opts.BurstSize + 2
 			r.allocBuffers(fs)
 			ch, err := r.cm.open(fs.id, f)
@@ -230,19 +288,13 @@ func (r *Runner) Run() (*Report, error) {
 	r.p.FinalizeAccounting()
 
 	// Expire frames that were submitted but never finished and are past
-	// their deadline: they are violations. Frames expire in frame order
-	// so QoS bookkeeping stays independent of map iteration order.
+	// their deadline: they are violations. The open list is in frame
+	// order, so frames expire in frame order.
 	for _, fs := range r.flows {
-		frames := make([]int, 0, len(fs.unfinished))
-		for frame := range fs.unfinished {
-			frames = append(frames, frame)
-		}
-		sort.Ints(frames)
-		for _, frame := range frames {
-			if dl := fs.qos.Deadline(fs.unfinished[frame]); dl <= r.opts.Duration {
+		for _, rec := range fs.open {
+			if dl := fs.qos.Deadline(fs.releaseTime(rec.frame)); dl <= r.opts.Duration {
 				fs.qos.Expired()
-				r.mViolations.Inc()
-				r.spans.FrameExpired(fs.track, frame, dl)
+				r.spans.FrameExpired(fs.track, rec.frame, dl)
 			}
 		}
 	}
@@ -300,17 +352,14 @@ func (r *Runner) releaseGroup(fs *flowState) {
 		if fs.releaseTime(i) >= r.opts.Duration && i != first {
 			break
 		}
-		if fs.inFlight >= maxBacklog {
+		if len(fs.open) >= maxBacklog {
 			// Driver queue full (the Nexus 7 depth-7 limit): drop.
 			fs.qos.Dropped()
-			r.mDropped.Inc()
 			r.spans.FrameDrop(fs.track, i, r.p.Eng.Now())
 			continue
 		}
 		fs.qos.Released()
-		r.mReleased.Inc()
-		fs.inFlight++
-		fs.unfinished[i] = fs.releaseTime(i)
+		fs.open = append(fs.open, frameRecord{frame: i})
 		r.spans.FrameSubmit(fs.track, i, fs.releaseTime(i))
 		frames = append(frames, i)
 		if r.recovery {
@@ -340,20 +389,14 @@ func (r *Runner) releaseGroup(fs *flowState) {
 
 // completeFrame records a frame's display/transmission moment.
 func (r *Runner) completeFrame(fs *flowState, frame int) {
-	rel, ok := fs.unfinished[frame]
+	rec, ok := fs.closeFrame(frame)
 	if !ok {
 		return
 	}
-	delete(fs.unfinished, frame)
-	fs.inFlight--
-	if fs.jobs != nil {
-		delete(fs.jobs, frame)
-		delete(fs.attempts, frame)
-	}
+	rel := fs.releaseTime(frame)
 	start := rel
-	if j, ok := fs.firstJob[frame]; ok && j.Started() {
+	if j := rec.first; j != nil && j.Started() {
 		start = j.StartedAt()
-		delete(fs.firstJob, frame)
 	}
 	if r.phases != nil {
 		r.phases.Phase(fs.track, fmt.Sprintf("f%d", frame), start, r.p.Eng.Now())
@@ -361,10 +404,6 @@ func (r *Runner) completeFrame(fs *flowState, frame int) {
 	now := r.p.Eng.Now()
 	onTime := fs.qos.Completed(rel, start, now)
 	r.spans.Frame(fs.track, frame, rel, start, now, fs.qos.Deadline(rel), onTime)
-	r.mCompleted.Inc()
-	if !onTime {
-		r.mViolations.Inc()
-	}
 	if ft := now - start; ft > 0 {
 		r.dFlowTimeMS.Observe(ft.Milliseconds())
 	} else {
@@ -444,20 +483,26 @@ func (r *Runner) makeJob(fs *flowState, frame, s int, chained bool) *ipcore.Job 
 	return j
 }
 
-// submitJob queues a stage job on its IP's lane for this flow.
+// submitJob queues a stage job on its IP's lane for this flow. With
+// recovery on, an open frame tracks the job so that a timeout can abort
+// it.
 func (r *Runner) submitJob(fs *flowState, s int, j *ipcore.Job) {
 	kind := fs.spec.Stages[s].Kind
 	if r.recovery {
-		fs.jobs[j.Frame] = append(fs.jobs[j.Frame], trackedJob{kind: kind, job: j})
+		if rec := fs.record(j.Frame); rec != nil {
+			rec.jobs = append(rec.jobs, trackedJob{kind: kind, job: j})
+		}
 	}
 	if err := r.p.IP(kind).Submit(fs.chain.Lanes[s], j); err != nil {
 		panic(fmt.Sprintf("core: submit %s: %v", j.Label, err))
 	}
 }
 
-// trackFirst remembers a frame's stage-0 job for traversal timing.
-func (r *Runner) trackFirst(fs *flowState, frame int, j *ipcore.Job) {
-	fs.firstJob[frame] = j
+// trackFirst remembers an open frame's stage-0 job for traversal timing.
+func (fs *flowState) trackFirst(frame int, j *ipcore.Job) {
+	if rec := fs.record(frame); rec != nil {
+		rec.first = j
+	}
 }
 
 // ---- Baseline: per-frame CPU orchestration, memory staging ----
@@ -476,7 +521,7 @@ func (r *Runner) baselineStage(fs *flowState, frame, s int) {
 	r.cpuTask(fs.appIdx, "setup", d, func() {
 		j := r.makeJob(fs, frame, s, false)
 		if s == 0 {
-			r.trackFirst(fs, frame, j)
+			fs.trackFirst(frame, j)
 		}
 		last := s == len(fs.spec.Stages)-1
 		j.OnDone = func() {
@@ -530,7 +575,7 @@ func (r *Runner) submitBurstUnchained(fs *flowState, frames []int) {
 				}
 				jobs[s] = j
 			}
-			r.trackFirst(fs, frame, jobs[0])
+			fs.trackFirst(frame, jobs[0])
 			for s := range jobs {
 				s := s
 				last := s == len(jobs)-1
@@ -580,7 +625,7 @@ func (r *Runner) submitChained(fs *flowState, frames []int, burst bool) {
 			for s := range fs.spec.Stages {
 				jobs[s] = r.makeJob(fs, frame, s, true)
 			}
-			r.trackFirst(fs, frame, jobs[0])
+			fs.trackFirst(frame, jobs[0])
 			// Wire producer -> consumer identity for shared-lane safety
 			// (and to model chain HOL blocking on single-lane hardware).
 			for s := 0; s < len(jobs)-1; s++ {
@@ -653,7 +698,6 @@ func (r *Runner) tapLoop(appIdx int, m *app.TapModel) {
 					cur := int((now - fs.phase) / fs.period)
 					if last > cur {
 						r.rollbacks++
-						r.mRollbacks.Inc()
 						redo := sim.Time(last-cur) * fs.spec.CPUPrep
 						r.cpuTask(appIdx, "rollback", redo, nil)
 					}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/vipsim/vip/internal/cpu"
+	"github.com/vipsim/vip/internal/ipcore"
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/workload"
 )
@@ -54,11 +55,8 @@ func WriteTable3(w io.Writer) {
 	fmt.Fprintf(w, "  IP params    Aud.Frame: 16KB; Vid.Frame: 4K (3840x2160); Camera: 2560x1620\n")
 	fmt.Fprintf(w, "  Required FPS 60 (16.66 ms)\n")
 	fmt.Fprintln(w, "  IP cores:")
-	prm := platform.DefaultIPParams()
-	p := platform.New(platform.DefaultConfig(platform.Baseline))
-	for _, k := range p.Kinds() {
-		ip := prm[k]
+	for k, ip := range platform.DefaultIPParams() {
 		fmt.Fprintf(w, "    %-4v throughput %5.1f GB/s, per-frame %8v, active %5.0f mW\n",
-			k, ip.ThroughputBPS/1e9, ip.PerFrame, ip.ActiveW*1e3)
+			ipcore.Kind(k), ip.ThroughputBPS/1e9, ip.PerFrame, ip.ActiveW*1e3)
 	}
 }

@@ -270,7 +270,7 @@ func NewCore(eng *sim.Engine, cfg Config, sa *noc.Fabric, mem *dram.Controller, 
 	}
 	c.lanes = make([]*Lane, cfg.Lanes)
 	for i := range c.lanes {
-		c.lanes[i] = &Lane{core: c, idx: i, capBytes: cfg.LaneBufBytes, FlowID: -1}
+		c.lanes[i] = &Lane{core: c, idx: i, capBytes: cfg.LaneBufBytes}
 	}
 	c.registerMetrics()
 	return c

@@ -27,13 +27,7 @@ type Lane struct {
 	// swaps the list with spareWaiters, so neither array is reallocated.
 	spaceWaiters, spareWaiters []func()
 
-	// FlowID is the flow bound to this lane's context (VIP); -1 if the
-	// lane is unbound and multiplexes every flow.
-	FlowID int
-
-	// stats
-	deposits uint64
-	maxUsed  int
+	maxUsed int // high-water mark of used
 
 	// fault state (see core.go's hang/watchdog/quarantine machinery).
 	hung        bool     // lane's request context is stuck
@@ -103,7 +97,6 @@ func (l *Lane) depositReserved(n int) {
 	if l.used > l.maxUsed {
 		l.maxUsed = l.used
 	}
-	l.deposits++
 	l.core.chargeBufferAccess(n, true)
 }
 

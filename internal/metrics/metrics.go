@@ -1,14 +1,15 @@
 // Package metrics is the simulator's observability layer: a registry of
-// named counters, gauges and distributions that component models register
-// at construction, a periodic sampler driven by the simulation engine
-// that turns gauges into time series, and exporters for JSON/CSV
-// time-series dumps, Prometheus text snapshots, and a live HTTP endpoint.
+// named gauges and distributions that component models register at
+// construction, a periodic sampler driven by the simulation engine that
+// turns gauges into time series, and exporters for JSON/CSV time-series
+// dumps, Prometheus text snapshots, and a live HTTP endpoint. A count is
+// a gauge over the state that keeps it, so every count is kept once.
 //
 // Like telemetry.Recorder, the whole layer is nil-safe and zero-cost when
-// disabled: a nil *Registry hands out nil *Counter/*Distribution values
-// whose methods are no-ops, and no sampler events enter the engine's
-// queue. Everything recorded is a pure function of simulated time, so two
-// runs with the same seed export byte-identical time series.
+// disabled: a nil *Registry hands out nil *Distribution values whose
+// methods are no-ops, and no sampler events enter the engine's queue.
+// Everything recorded is a pure function of simulated time, so two runs
+// with the same seed export byte-identical time series.
 package metrics
 
 import (
@@ -16,42 +17,6 @@ import (
 
 	"github.com/vipsim/vip/internal/stats"
 )
-
-// Counter is a monotonically increasing value maintained by the component
-// that owns it (frames completed, violations, rollbacks). Methods on a
-// nil Counter are no-ops, so components increment unconditionally.
-type Counter struct {
-	name string
-	v    float64
-}
-
-// Add increases the counter by d. Negative deltas are ignored: counters
-// only go up.
-func (c *Counter) Add(d float64) {
-	if c == nil || d < 0 {
-		return
-	}
-	c.v += d
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value reports the current count (0 on a nil Counter).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Name reports the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
 
 // GaugeFunc is a callback polled by the sampler. It must be a
 // deterministic function of simulation state: the sampler calls every
@@ -117,36 +82,18 @@ type gauge struct {
 // or zero values and registration is a no-op, so components wire metrics
 // unconditionally.
 type Registry struct {
-	counters map[string]*Counter
-	dists    map[string]*Distribution
-	gauges   []gauge
-	sorted   bool
+	dists  map[string]*Distribution
+	gauges []gauge
+	sorted bool
 }
 
 // NewRegistry returns an empty, enabled registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		dists:    make(map[string]*Distribution),
-	}
+	return &Registry{dists: make(map[string]*Distribution)}
 }
 
 // Enabled reports whether metrics are being collected.
 func (r *Registry) Enabled() bool { return r != nil }
-
-// Counter returns the named counter, creating it on first use. On a nil
-// registry it returns nil (whose methods no-op).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		r.counters[name] = c
-	}
-	return c
-}
 
 // Distribution returns the named distribution, creating it on first use.
 func (r *Registry) Distribution(name string) *Distribution {
@@ -196,31 +143,6 @@ func (r *Registry) GaugeNames() []string {
 	out := make([]string, len(gs))
 	for i, g := range gs {
 		out[i] = g.name
-	}
-	return out
-}
-
-// CounterNames lists the registered counter names in sorted order.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	out := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Counters returns every counter's current value keyed by name.
-func (r *Registry) Counters() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(r.counters))
-	for n, c := range r.counters {
-		out[n] = c.v
 	}
 	return out
 }

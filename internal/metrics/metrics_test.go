@@ -13,15 +13,6 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 	if r.Enabled() {
 		t.Error("nil registry must report disabled")
 	}
-	c := r.Counter("x")
-	if c != nil {
-		t.Error("nil registry must hand out nil counters")
-	}
-	c.Inc() // must not panic
-	c.Add(5)
-	if c.Value() != 0 || c.Name() != "" {
-		t.Error("nil counter must stay zero")
-	}
 	d := r.Distribution("y")
 	if d != nil {
 		t.Error("nil registry must hand out nil distributions")
@@ -31,29 +22,11 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 		t.Error("nil distribution must summarize empty")
 	}
 	r.Gauge("z", func() float64 { return 1 }) // must not panic
-	if r.GaugeNames() != nil || r.CounterNames() != nil ||
-		r.Counters() != nil || r.Distributions() != nil {
+	if r.GaugeNames() != nil || r.Distributions() != nil {
 		t.Error("nil registry accessors must return nil")
 	}
 	if s := StartSampler(sim.NewEngine(), r, sim.Millisecond, sim.Second); s != nil {
 		t.Error("sampler on a nil registry must be nil")
-	}
-}
-
-func TestCounterSemantics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("frames")
-	c.Inc()
-	c.Add(2)
-	c.Add(-7) // counters only go up
-	if c.Value() != 3 {
-		t.Errorf("Value = %v, want 3", c.Value())
-	}
-	if r.Counter("frames") != c {
-		t.Error("same name must return the same counter")
-	}
-	if got := r.Counters()["frames"]; got != 3 {
-		t.Errorf("Counters()[frames] = %v", got)
 	}
 }
 
@@ -88,8 +61,10 @@ func TestSamplerTicks(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := NewRegistry()
 	reg.Gauge("time_ms", func() float64 { return float64(eng.Now()) / 1e6 })
-	c := reg.Counter("events")
-	eng.At(2500*sim.Microsecond, c.Inc)
+	// A count is a gauge over the state that keeps it.
+	events := 0
+	reg.Gauge("events", func() float64 { return float64(events) })
+	eng.At(2500*sim.Microsecond, func() { events++ })
 
 	s := StartSampler(eng, reg, sim.Millisecond, 5*sim.Millisecond)
 	if s == nil {
@@ -112,9 +87,9 @@ func TestSamplerTicks(t *testing.T) {
 	if got := ts.Series["time_ms"]; got[0] != 1 || got[4] != 5 {
 		t.Errorf("gauge column = %v", got)
 	}
-	// The counter fired between ticks 2 and 3: cumulative 0,0,1,1,1.
+	// The event fired between ticks 2 and 3: cumulative 0,0,1,1,1.
 	if got := ts.Series["events"]; got[1] != 0 || got[2] != 1 || got[4] != 1 {
-		t.Errorf("counter column = %v", got)
+		t.Errorf("count column = %v", got)
 	}
 	if l := s.Latest(); l["time_ms"] != 5 || l["events"] != 1 {
 		t.Errorf("Latest = %v", l)
@@ -167,8 +142,9 @@ func sampledRun(t *testing.T) (jsonb, csvb []byte) {
 	reg := NewRegistry()
 	reg.Gauge("b.gauge", func() float64 { return float64(eng.Now() / sim.Millisecond) })
 	reg.Gauge("a.gauge", func() float64 { return 0.5 })
-	c := reg.Counter("c.count")
-	eng.At(500*sim.Microsecond, func() { c.Add(2) })
+	count := 0.0
+	reg.Gauge("c.count", func() float64 { return count })
+	eng.At(500*sim.Microsecond, func() { count += 2 })
 	s := StartSampler(eng, reg, sim.Millisecond, 2*sim.Millisecond)
 	eng.Run(2 * sim.Millisecond)
 	var j, cv bytes.Buffer

@@ -14,8 +14,8 @@ type TimeSeries struct {
 	IntervalNS int64 `json:"interval_ns"`
 	// TimesNS are the sample instants in simulated nanoseconds.
 	TimesNS []int64 `json:"times_ns"`
-	// Series maps metric name to one value per sample instant. Gauges
-	// record their polled value; counters record their cumulative count.
+	// Series maps gauge name to its polled value at every sample
+	// instant.
 	Series map[string][]float64 `json:"series"`
 }
 
@@ -76,15 +76,12 @@ func StartSampler(eng *sim.Engine, reg *Registry, interval, horizon sim.Time) *S
 	return s
 }
 
-// sample takes one snapshot: every gauge is polled once (sorted order),
-// every counter's cumulative value is recorded.
+// sample takes one snapshot: every gauge is polled once, in sorted
+// order.
 func (s *Sampler) sample() {
 	s.ts.TimesNS = append(s.ts.TimesNS, int64(s.eng.Now()))
 	for _, g := range s.reg.sortedGauges() {
 		s.ts.Series[g.name] = append(s.ts.Series[g.name], g.fn())
-	}
-	for _, name := range s.reg.CounterNames() {
-		s.ts.Series[name] = append(s.ts.Series[name], s.reg.counters[name].v)
 	}
 	// Metrics registered after the first tick would leave earlier rows
 	// ragged; a short column is missing its oldest samples, so pad zeros

@@ -7,7 +7,6 @@ package platform
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/vipsim/vip/internal/cpu"
 	"github.com/vipsim/vip/internal/dram"
@@ -72,13 +71,13 @@ type IPParams struct {
 	ActiveW       float64
 }
 
-// DefaultIPParams returns the calibrated parameters for every IP kind.
-// Throughputs are sized so that a single 60 FPS flow fits its 16.6 ms
-// budget with headroom (Table 3 geometry), leaving memory contention —
-// not raw IP speed — as the multi-app bottleneck, which is what the
-// paper's Figure 3 measures on real hardware.
-func DefaultIPParams() map[ipcore.Kind]IPParams {
-	return map[ipcore.Kind]IPParams{
+// DefaultIPParams returns the calibrated parameters of every IP kind,
+// indexed by kind. Throughputs are sized so that a single 60 FPS flow
+// fits its 16.6 ms budget with headroom (Table 3 geometry), leaving
+// memory contention — not raw IP speed — as the multi-app bottleneck,
+// which is what the paper's Figure 3 measures on real hardware.
+func DefaultIPParams() [ipcore.NumKinds]IPParams {
+	return [ipcore.NumKinds]IPParams{
 		ipcore.VD:  {ThroughputBPS: 6.2e9, PerFrame: 60 * sim.Microsecond, ActiveW: 0.25},
 		ipcore.VE:  {ThroughputBPS: 4.0e9, PerFrame: 70 * sim.Microsecond, ActiveW: 0.30},
 		ipcore.GPU: {ThroughputBPS: 3.5e9, PerFrame: 80 * sim.Microsecond, ActiveW: 0.60},
@@ -105,7 +104,9 @@ type Config struct {
 	CPU  cpu.Config
 	DRAM dram.Config
 	NOC  noc.Config
-	IP   map[ipcore.Kind]IPParams
+	// IP holds the parameters of every IP kind, indexed by kind; the
+	// platform builds one core of each.
+	IP [ipcore.NumKinds]IPParams
 
 	// LaneBufBytes is the per-lane flow-buffer size (2 KB = 32 cache
 	// lines, the paper's §5.5 design point).
@@ -186,9 +187,6 @@ func (c Config) validate() error {
 	if c.VIPPolicy == ipcore.FCFS && c.Mode.Virtualized() {
 		return fmt.Errorf("platform: virtualized IPs need a multi-lane scheduler (EDF/RR/Priority)")
 	}
-	if len(c.IP) == 0 {
-		return fmt.Errorf("platform: no IP parameters")
-	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
@@ -204,9 +202,9 @@ type Platform struct {
 	SA   *noc.Fabric
 
 	cfg  Config
-	ips  map[ipcore.Kind]*ipcore.Core
-	inj  *fault.Injector // nil unless cfg.Faults enables a model
-	next uint64          // bump allocator for frame buffers
+	ips  [ipcore.NumKinds]*ipcore.Core // indexed by kind
+	inj  *fault.Injector               // nil unless cfg.Faults enables a model
+	next uint64                        // bump allocator for frame buffers
 }
 
 // New assembles a platform; it panics on invalid configuration
@@ -243,21 +241,14 @@ func New(cfg Config) *Platform {
 		Mem:  dram.NewController(eng, cfg.DRAM, acct),
 		SA:   noc.NewFabric(eng, cfg.NOC, acct),
 		cfg:  cfg,
-		ips:  make(map[ipcore.Kind]*ipcore.Core, len(cfg.IP)),
 		inj:  inj,
 		next: 1 << 20,
 	}
 	sram := energy.DefaultSRAM()
-	// Cores are built in sorted kind order: construction registers
-	// gauges and numbers engine bookkeeping, so map-order iteration here
-	// would leak Go's randomized map order into the run.
-	kinds := make([]ipcore.Kind, 0, len(cfg.IP))
-	for kind := range cfg.IP {
-		kinds = append(kinds, kind)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	for _, kind := range kinds {
-		prm := cfg.IP[kind]
+	// Cores are built in kind order: construction registers gauges and
+	// numbers engine bookkeeping.
+	for k, prm := range cfg.IP {
+		kind := ipcore.Kind(k)
 		ipCfg := ipcore.Config{
 			Name:          kind.String(),
 			Kind:          kind,
@@ -283,7 +274,7 @@ func New(cfg Config) *Platform {
 			ipCfg.CtxSwitch = cfg.CtxSwitch
 			ipCfg.SwitchPatience = cfg.SwitchPatience
 		}
-		p.ips[kind] = ipcore.NewCore(eng, ipCfg, p.SA, p.Mem, acct, sram)
+		p.ips[k] = ipcore.NewCore(eng, ipCfg, p.SA, p.Mem, acct, sram)
 	}
 	return p
 }
@@ -306,23 +297,15 @@ func (p *Platform) Injector() *fault.Injector { return p.inj }
 // Mode returns the platform's system design.
 func (p *Platform) Mode() Mode { return p.cfg.Mode }
 
-// IP returns the core for kind; it panics if the platform has none
-// (the default config instantiates all kinds).
-func (p *Platform) IP(kind ipcore.Kind) *ipcore.Core {
-	c, ok := p.ips[kind]
-	if !ok {
-		panic(fmt.Sprintf("platform: no %v IP", kind))
-	}
-	return c
-}
+// IP returns the core of a kind.
+func (p *Platform) IP(kind ipcore.Kind) *ipcore.Core { return p.ips[kind] }
 
-// Kinds lists the instantiated IP kinds in stable order.
-func (p *Platform) Kinds() []ipcore.Kind {
-	ks := make([]ipcore.Kind, 0, len(p.ips))
-	for k := range p.ips {
-		ks = append(ks, k)
+// Kinds lists the IP kinds in kind order; the platform has one core of
+// every kind.
+func (p *Platform) Kinds() (ks [ipcore.NumKinds]ipcore.Kind) {
+	for i := range ks {
+		ks[i] = ipcore.Kind(i)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
 }
 
@@ -343,8 +326,8 @@ func (p *Platform) AllocFrame(bytes int) uint64 {
 func (p *Platform) FinalizeAccounting() {
 	p.CPU.FinalizeAccounting()
 	p.Mem.AccrueBackground()
-	// Sorted order keeps shared-category float accumulation reproducible.
-	for _, k := range p.Kinds() {
-		p.ips[k].FinalizeAccounting()
+	// Kind order keeps shared-category float accumulation reproducible.
+	for _, c := range p.ips {
+		c.FinalizeAccounting()
 	}
 }

@@ -93,7 +93,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SubframeBytes = 0 },
 		func(c *Config) { c.VIPLanes = 0 },
 		func(c *Config) { c.VIPLanes = 5 },
-		func(c *Config) { c.IP = nil },
 	} {
 		cfg := DefaultConfig(VIP)
 		mut(&cfg)
@@ -132,26 +131,25 @@ func TestAllocFrame(t *testing.T) {
 	p.AllocFrame(-1)
 }
 
+// TestIPPanicsOnUnknownKind: every kind has a core, and a kind outside
+// the enumeration panics rather than yielding a nil core.
 func TestIPPanicsOnUnknownKind(t *testing.T) {
-	cfg := DefaultConfig(Baseline)
-	delete(cfg.IP, ipcore.MMC)
-	p := New(cfg)
+	p := New(DefaultConfig(Baseline))
+	for _, k := range p.Kinds() {
+		if c := p.IP(k); c == nil || c.Config().Kind != k {
+			t.Errorf("IP(%v) is not the %v core", k, k)
+		}
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic for missing IP")
+			t.Error("expected panic for an unknown kind")
 		}
 	}()
-	p.IP(ipcore.MMC)
+	p.IP(ipcore.Kind(ipcore.NumKinds))
 }
 
 func TestIPParamsCoverAllKinds(t *testing.T) {
-	prm := DefaultIPParams()
-	for k := 0; k < ipcore.NumKinds; k++ {
-		p, ok := prm[ipcore.Kind(k)]
-		if !ok {
-			t.Errorf("no params for %v", ipcore.Kind(k))
-			continue
-		}
+	for k, p := range DefaultIPParams() {
 		if p.ThroughputBPS <= 0 || p.ActiveW <= 0 {
 			t.Errorf("%v params not positive: %+v", ipcore.Kind(k), p)
 		}

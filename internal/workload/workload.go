@@ -31,9 +31,8 @@ func videoPlaybackFlow(name string, frameBytes, bitstream int) app.Flow {
 			{Kind: ipcore.GPU, OutBytes: app.FrameRender},
 			{Kind: ipcore.DC, OutBytes: 0},
 		},
-		CPUPrep:      60 * sim.Microsecond, // demux, CSD parsing, AV sync
-		CPUPrepInstr: 55000,
-		Display:      true,
+		CPUPrep: 60 * sim.Microsecond, // demux, CSD parsing, AV sync
+		Display: true,
 	}
 }
 
@@ -44,8 +43,7 @@ func audioPlaybackFlow(name string) app.Flow {
 			{Kind: ipcore.AD, OutBytes: app.FrameAudio},
 			{Kind: ipcore.SND, OutBytes: 0},
 		},
-		CPUPrep:      4 * sim.Microsecond,
-		CPUPrepInstr: 3000,
+		CPUPrep: 4 * sim.Microsecond,
 	}
 }
 
@@ -57,8 +55,7 @@ func micCaptureFlow(name string) app.Flow {
 			{Kind: ipcore.AE, OutBytes: app.BitstreamAudio},
 			{Kind: ipcore.NW, OutBytes: 0},
 		},
-		CPUPrep:      4 * sim.Microsecond,
-		CPUPrepInstr: 3000,
+		CPUPrep: 4 * sim.Microsecond,
 	}
 }
 
@@ -69,9 +66,8 @@ func gameRenderFlow(name string) app.Flow {
 			{Kind: ipcore.GPU, OutBytes: app.FrameRender},
 			{Kind: ipcore.DC, OutBytes: 0},
 		},
-		CPUPrep:      120 * sim.Microsecond, // game logic per frame
-		CPUPrepInstr: 100000,
-		Display:      true,
+		CPUPrep: 120 * sim.Microsecond, // game logic per frame
+		Display: true,
 	}
 }
 
@@ -83,8 +79,7 @@ func cameraEncodeFlow(name string, sink ipcore.Kind) app.Flow {
 			{Kind: ipcore.VE, OutBytes: app.BitstreamCamera},
 			{Kind: sink, OutBytes: 0},
 		},
-		CPUPrep:      20 * sim.Microsecond,
-		CPUPrepInstr: 15000,
+		CPUPrep: 20 * sim.Microsecond,
 	}
 }
 
@@ -115,8 +110,7 @@ var table1 = []struct {
 						{Kind: ipcore.VE, OutBytes: app.BitstreamVideoHD},
 						{Kind: ipcore.NW, OutBytes: 0},
 					},
-					CPUPrep:      30 * sim.Microsecond,
-					CPUPrepInstr: 25000,
+					CPUPrep: 30 * sim.Microsecond,
 				},
 				audioPlaybackFlow("ad-snd"),
 				micCaptureFlow("mic-ae-nw"),
@@ -135,10 +129,9 @@ var table1 = []struct {
 				{
 					// Low-rate UI refresh: CPU-composited frames to DC.
 					Name: "cpu-dc", FPS: 10, InBytes: app.FrameRender,
-					Stages:       []app.Stage{{Kind: ipcore.DC, OutBytes: 0}},
-					CPUPrep:      15 * sim.Microsecond,
-					CPUPrepInstr: 12000,
-					Display:      true,
+					Stages:  []app.Stage{{Kind: ipcore.DC, OutBytes: 0}},
+					CPUPrep: 15 * sim.Microsecond,
+					Display: true,
 				},
 			},
 		}
@@ -174,9 +167,8 @@ var table1 = []struct {
 						{Kind: ipcore.IMG, OutBytes: app.FrameCamera},
 						{Kind: ipcore.DC, OutBytes: 0},
 					},
-					CPUPrep:      20 * sim.Microsecond,
-					CPUPrepInstr: 15000,
-					Display:      true,
+					CPUPrep: 20 * sim.Microsecond,
+					Display: true,
 				},
 				cameraEncodeFlow("cam-ve-mmc", ipcore.MMC),
 				func() app.Flow {

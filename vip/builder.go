@@ -119,9 +119,10 @@ func (f *FlowBuilder) Stage(ip IP, outBytes int) *FlowBuilder {
 }
 
 // CPUWork sets the per-frame application-level CPU preparation cost.
-func (f *FlowBuilder) CPUWork(d Duration, instructions uint64) *FlowBuilder {
+// Its instruction count follows from d: the CPU model retires one
+// instruction per nanosecond.
+func (f *FlowBuilder) CPUWork(d Duration) *FlowBuilder {
 	f.flow.CPUPrep = sim.Time(d)
-	f.flow.CPUPrepInstr = instructions
 	return f
 }
 

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/vipsim/vip/internal/core"
+	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/internal/workload"
 )
@@ -29,8 +31,9 @@ const EngineVersion = sim.EngineVersion
 // deterministic byte string in which semantically identical scenarios
 // are identical bytes, regardless of how they were spelled. The encoding
 //
-//   - fills every defaulted knob with its effective value (Duration 0
-//     encodes as the real 500 ms default, Seed 0 as 1, BurstSize 0 as 5,
+//   - fills every defaulted knob with the value Simulate lowers it to,
+//     read from core.DefaultOptions and platform.DefaultConfig (Duration
+//     0 encodes as 500 ms, Seed 0 as 1, BurstSize 0 as 5,
 //     LaneBufferBytes 0 as 2048), so an explicit default and an omitted
 //     one collapse to the same bytes;
 //   - expands Table 2 workload ids into their Table 1 app mixes (the
@@ -58,21 +61,22 @@ func (sc Scenario) Canonical() ([]byte, error) {
 		return nil, fmt.Errorf("vip: no applications to canonicalize")
 	}
 
+	opts := core.DefaultOptions(sc.System)
 	dur := sc.Duration
 	if dur == 0 {
-		dur = sim.Second / 2 // core.DefaultOptions
+		dur = opts.Duration
 	}
 	seed := sc.Seed
 	if seed == 0 {
-		seed = 1
+		seed = opts.Seed
 	}
 	burst := sc.BurstSize
 	if burst == 0 {
-		burst = 5
+		burst = opts.BurstSize
 	}
 	laneBuf := sc.LaneBufferBytes
 	if laneBuf == 0 {
-		laneBuf = 2 << 10 // platform.DefaultConfig
+		laneBuf = platform.DefaultConfig(sc.System).LaneBufBytes
 	}
 
 	var b strings.Builder

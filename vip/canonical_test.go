@@ -1,13 +1,15 @@
 package vip
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
 
 // TestCanonicalDefaultsCollapse holds the canonicalization contract: a
 // scenario spelled with implicit defaults and the same scenario spelled
-// with every default written out are the same bytes and the same hash.
+// with every default written out are the same bytes and the same hash,
+// and they are the same run: their reports are byte-identical.
 func TestCanonicalDefaultsCollapse(t *testing.T) {
 	implicit := Scenario{System: SystemVIP, Apps: []string{"A5", "A5"}}
 	explicit := Scenario{
@@ -33,6 +35,21 @@ func TestCanonicalDefaultsCollapse(t *testing.T) {
 	he, _ := explicit.Hash()
 	if hi != he {
 		t.Errorf("hashes differ: %s vs %s", hi, he)
+	}
+	report := func(sc Scenario) []byte {
+		t.Helper()
+		res, err := Simulate(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteReportJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if ri, re := report(implicit), report(explicit); !bytes.Equal(ri, re) {
+		t.Error("implicit and explicit defaults share a hash but produce different reports")
 	}
 }
 

@@ -166,7 +166,7 @@ func TestBuilderCustomApp(t *testing.T) {
 		Stage(Camera, FrameCamera).
 		Stage(VideoEncoder, BitstreamCam).
 		Stage(Network, 0).
-		CPUWork(10*1000, 10000).
+		CPUWork(10 * 1000).
 		Display().
 		Done().
 		Build()
@@ -205,7 +205,7 @@ func TestBuilderTouchModes(t *testing.T) {
 			Flow("render", 60, 256<<10).
 			Stage(GPU, FrameRender).
 			Stage(Display, 0).
-			CPUWork(50*1000, 40000).
+			CPUWork(50 * 1000).
 			Display().
 			Done().Build()
 		if err != nil {
