@@ -18,11 +18,9 @@ type QoS struct {
 	completed int
 	violated  int
 	dropped   int
-	expired   int
 
 	totalFlow sim.Time
 	maxFlow   sim.Time
-	totalLate sim.Time
 	flowDist  stats.Sample
 }
 
@@ -57,7 +55,6 @@ func (q *QoS) Completed(r, started, at sim.Time) bool {
 	}
 	if at > q.Deadline(r) {
 		q.violated++
-		q.totalLate += at - q.Deadline(r)
 		return false
 	}
 	return true
@@ -66,10 +63,7 @@ func (q *QoS) Completed(r, started, at sim.Time) bool {
 // Expired records a released frame that never completed although its
 // deadline has passed (pipeline backlog at the end of a run). It counts
 // as a violation.
-func (q *QoS) Expired() {
-	q.violated++
-	q.expired++
-}
+func (q *QoS) Expired() { q.violated++ }
 
 // Failed records a released frame the driver's recovery layer abandoned
 // after exhausting its retries. Like Expired it counts as a violation

@@ -131,12 +131,6 @@ func TestDriverCostsDefaultsSane(t *testing.T) {
 	if isr >= handoff {
 		t.Error("the software hand-off dominates the raw ISR")
 	}
-	if instrFor(sim.Microsecond) != 1000 {
-		t.Errorf("instrFor(1us) = %d, want 1000", instrFor(sim.Microsecond))
-	}
-	if instrFor(-5) != 0 {
-		t.Error("negative durations carry no instructions")
-	}
 }
 
 func TestOptionsValidate(t *testing.T) {

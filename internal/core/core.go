@@ -70,14 +70,6 @@ const (
 	iFrameFactor = 1.8
 )
 
-// instrFor converts a driver duration into an instruction estimate.
-func instrFor(d sim.Time) uint64 {
-	if d <= 0 {
-		return 0
-	}
-	return uint64(d) // ~1 instruction per ns on the 1 GHz in-order core
-}
-
 // Options configures a Runner.
 type Options struct {
 	// Mode is the system design under test.

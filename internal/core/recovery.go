@@ -112,7 +112,7 @@ func (r *Runner) abortFrameJobs(rec *frameRecord) {
 // APIC timer does not cross the faulty fabric), so it draws no fault
 // randomness.
 func (r *Runner) timerInterrupt(then func()) {
-	r.p.CPU.Interrupt(0, &cpu.Task{Label: "isr-timeout", Duration: isr, Instr: instrFor(isr), OnDone: then})
+	r.p.CPU.Interrupt(0, &cpu.Task{Label: "isr-timeout", Duration: isr, OnDone: then})
 }
 
 // onLaneFault handles a hardware lane quarantine: rebind every chain hop

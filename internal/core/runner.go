@@ -307,7 +307,7 @@ func (r *Runner) Sampler() *metrics.Sampler { return r.sampler }
 
 // cpuTask schedules CPU work and invokes then when it retires.
 func (r *Runner) cpuTask(hint int, label string, d sim.Time, then func()) {
-	r.p.CPU.Exec(hint, &cpu.Task{Label: label, Duration: d, Instr: instrFor(d), OnDone: then})
+	r.p.CPU.Exec(hint, &cpu.Task{Label: label, Duration: d, OnDone: then})
 }
 
 // interrupt delivers an IP completion interrupt and runs then after the
@@ -321,7 +321,7 @@ func (r *Runner) interrupt(hint int, then func()) {
 		// the recovery layer's frame timeout can rescue the frame.
 		return
 	}
-	r.p.CPU.Interrupt(0, &cpu.Task{Label: "isr", Duration: isr, Instr: instrFor(isr), OnDone: then})
+	r.p.CPU.Interrupt(0, &cpu.Task{Label: "isr", Duration: isr, OnDone: then})
 }
 
 // scheduleNextRelease arms the next release event of a flow.
@@ -443,13 +443,15 @@ func variesByFrame(k ipcore.Kind) bool {
 func (r *Runner) makeJob(fs *flowState, frame, s int, chained bool) *ipcore.Job {
 	st := fs.spec.Stages[s]
 	j := &ipcore.Job{
-		Label:    fmt.Sprintf("%s/%s/s%d/f%d", fs.aspec.ID, fs.spec.Name, s, frame),
 		FlowID:   fs.id,
 		Frame:    frame,
 		Stage:    s,
 		InBytes:  fs.spec.StageIn(s),
 		OutBytes: st.OutBytes,
 		Deadline: fs.qos.Deadline(fs.releaseTime(frame)),
+	}
+	if r.phases != nil {
+		j.Label = fs.jobName(s, frame)
 	}
 	if variesByFrame(st.Kind) {
 		j.ComputeScale = r.computeScale(fs, frame)
@@ -483,6 +485,12 @@ func (r *Runner) makeJob(fs *flowState, frame, s int, chained bool) *ipcore.Job 
 	return j
 }
 
+// jobName names the stage-s job of a frame by app, flow, stage and
+// frame, e.g. "A5/cpu-vd-dc/s1/f3".
+func (fs *flowState) jobName(s, frame int) string {
+	return fmt.Sprintf("%s/%s/s%d/f%d", fs.aspec.ID, fs.spec.Name, s, frame)
+}
+
 // submitJob queues a stage job on its IP's lane for this flow. With
 // recovery on, an open frame tracks the job so that a timeout can abort
 // it.
@@ -494,7 +502,7 @@ func (r *Runner) submitJob(fs *flowState, s int, j *ipcore.Job) {
 		}
 	}
 	if err := r.p.IP(kind).Submit(fs.chain.Lanes[s], j); err != nil {
-		panic(fmt.Sprintf("core: submit %s: %v", j.Label, err))
+		panic(fmt.Sprintf("core: submit %s: %v", fs.jobName(s, j.Frame), err))
 	}
 }
 

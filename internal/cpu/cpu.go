@@ -6,11 +6,11 @@
 // opportunity to enter deep sleep states when the CPU is poked for every
 // frame.
 //
-// Time and instructions are carried by Task values created by the
-// orchestration layer (driver setup, interrupt service routines, app
-// frame generation); the cores execute them FIFO with a load-dependent
-// inflation that stands in for scheduler and cache contention when many
-// driver invocations pile up.
+// Time is carried by Task values created by the orchestration layer
+// (driver setup, interrupt service routines, app frame generation), and
+// instruction counts derive from it; the cores execute them FIFO with a
+// load-dependent inflation that stands in for scheduler and cache
+// contention when many driver invocations pile up.
 package cpu
 
 import (
@@ -84,9 +84,12 @@ func (c Config) validate() error {
 type Task struct {
 	Label    string
 	Duration sim.Time
-	Instr    uint64
 	OnDone   func()
 }
+
+// instrPerNS is the instruction rate of the 1 GHz in-order core: a task
+// retires one instruction per ns of its duration.
+const instrPerNS = 1
 
 // Stats aggregates complex-wide activity.
 type Stats struct {
@@ -238,9 +241,12 @@ func (cx *Complex) startNext(c *core) {
 	if n := len(c.queue); n > 0 && cx.cfg.LoadFactor > 0 {
 		eff = sim.Time(float64(eff) * (1 + cx.cfg.LoadFactor*float64(n)))
 	}
-	instr := t.Instr
-	if t.Duration > 0 && eff > t.Duration {
-		instr = uint64(float64(instr) * float64(eff) / float64(t.Duration))
+	var instr uint64
+	if t.Duration > 0 {
+		instr = uint64(t.Duration) * instrPerNS
+		if eff > t.Duration {
+			instr = uint64(float64(instr) * float64(eff) / float64(t.Duration))
+		}
 	}
 
 	total := wake + eff

@@ -57,7 +57,7 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 func TestTaskExecution(t *testing.T) {
 	eng, cx, _ := newComplex(t, nil)
 	var done sim.Time
-	cx.Exec(0, &Task{Label: "drv", Duration: 40 * sim.Microsecond, Instr: 1000,
+	cx.Exec(0, &Task{Label: "drv", Duration: 40 * sim.Microsecond,
 		OnDone: func() { done = eng.Now() }})
 	eng.Run(sim.Second)
 	// First task at t=0: no idle gap, no wake penalty.
@@ -65,7 +65,8 @@ func TestTaskExecution(t *testing.T) {
 		t.Errorf("done at %v, want 40us", done)
 	}
 	st := cx.Stats()
-	if st.Tasks != 1 || st.Instructions != 1000 {
+	// One instruction per ns of task time.
+	if st.Tasks != 1 || st.Instructions != 40_000 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -193,12 +194,12 @@ func TestLoadInflation(t *testing.T) {
 func TestInstructionInflationTracksTime(t *testing.T) {
 	eng, cx, _ := newComplex(t, func(c *Config) { c.LoadFactor = 0.5 })
 	for i := 0; i < 2; i++ {
-		cx.Exec(0, &Task{Duration: 100 * sim.Microsecond, Instr: 1000})
+		cx.Exec(0, &Task{Duration: 100 * sim.Microsecond})
 	}
 	eng.Run(sim.Second)
 	// First task inflated by one queued task: 1.5x instructions.
-	if got := cx.Stats().Instructions; got != 1500+1000 {
-		t.Errorf("Instructions = %d, want 2500", got)
+	if got := cx.Stats().Instructions; got != 150_000+100_000 {
+		t.Errorf("Instructions = %d, want 250000", got)
 	}
 }
 
@@ -249,6 +250,9 @@ func TestZeroDurationTask(t *testing.T) {
 	eng.Run(sim.Second)
 	if !fired {
 		t.Error("zero-duration task should complete")
+	}
+	if n := cx.Stats().Instructions; n != 0 {
+		t.Errorf("zero-duration task retired %d instructions, want 0", n)
 	}
 }
 

@@ -159,7 +159,6 @@ type channel struct {
 	queue        []Request
 	busy         bool
 	cur          Request // the request in service while busy
-	busyAcc      sim.Time
 	refreshUntil sim.Time
 
 	// done is the service completion, bound on the first request.
@@ -428,7 +427,6 @@ func (c *Controller) startNext(ch *channel) {
 
 	ch.busy = true
 	ch.cur = req
-	ch.busyAcc += svc
 	c.stats.BusyChannel += svc
 	if ch.done == nil {
 		ch.done = ch.complete

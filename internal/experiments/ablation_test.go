@@ -2,12 +2,79 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"github.com/vipsim/vip/internal/ipcore"
 	"github.com/vipsim/vip/internal/sim"
 )
+
+// ablationDigests pins the SHA-256 of the JSON of each 40 ms ablation
+// that exercises the multi-lane schedulers, keyed by the engine revision
+// that produced it, as faultSweepDigests is. These runs are the only
+// callers of the RR and Priority policies, of one to three VIP lanes and
+// of patience 0-20 us, so a refactor of the lane scheduler must leave
+// the digests of the current EngineVersion unchanged.
+var ablationDigests = map[string]map[string]string{
+	"vip-engine/1": {
+		"sched/W1": "3423d6235d286d8440ba76377b0ec9b8850bb7459063db7911a963ee81b00eec",
+		"sched/W2": "b14e6841ffca99274889e1dee1b1da264d6ccd7a6e4eb8dd43bc1e4ecda361e6",
+		"lanes":    "9eaae7f83e53046ea6ccaca1c0dc1b96a7c42203edafad2aef5623ab72bfcdd8",
+		"patience": "2c753d1518ebda764c297f494304fe1b31ce6bedcd7d6feed0a736f47cdcf59a",
+	},
+}
+
+// TestAblationGolden pins the scheduler ablations' bytes across commits
+// and checks that the digests cover what they claim to: RR rotates more
+// than EDF, and zero patience switches more than 5 us does.
+func TestAblationGolden(t *testing.T) {
+	const dur = 40 * sim.Millisecond
+	want, ok := ablationDigests[sim.EngineVersion]
+	if !ok {
+		t.Fatalf("no ablation digests recorded for %s", sim.EngineVersion)
+	}
+	pin := func(name string, result any) {
+		b, err := json.Marshal(result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s digest of %s changed: got %s, pinned %s", name, sim.EngineVersion, got, want[name])
+		}
+	}
+	for _, w := range []string{"W1", "W2"} {
+		st, err := RunSchedulerStudy(w, dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byPolicy := map[ipcore.Policy]SchedRow{}
+		for _, r := range st.Rows {
+			byPolicy[r.Policy] = r
+		}
+		if rr, edf := byPolicy[ipcore.RR].CtxSwitches, byPolicy[ipcore.EDF].CtxSwitches; rr <= edf {
+			t.Errorf("%s: RR switched %d times, EDF %d; RR should rotate more", w, rr, edf)
+		}
+		pin("sched/"+w, st)
+	}
+	lanes, err := RunLaneSweep(dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin("lanes", lanes)
+	pat, err := RunPatienceSweep(dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero, five := pat.Rows[0], pat.Rows[3]; zero.CtxSwitches <= five.CtxSwitches {
+		t.Errorf("patience %s switched %d times, %s %d; zero patience should switch more",
+			zero.Label, zero.CtxSwitches, five.Label, five.CtxSwitches)
+	}
+	pin("patience", pat)
+}
 
 func TestSchedulerStudy(t *testing.T) {
 	if testing.Short() {

@@ -23,7 +23,7 @@ const (
 	// picking the runnable lane whose head job has the earliest
 	// deadline — the VIP hardware scheduler (paper §4.4/§5.3).
 	EDF
-	// RR rotates between lanes every RRQuantum sub-frames — the
+	// RR rotates between lanes every 64 sub-frames (rrQuantum) — the
 	// fairness-first alternative the paper alludes to when it notes
 	// that "EDF may not be suitable for ensuring fairness".
 	RR
@@ -77,9 +77,6 @@ type Config struct {
 	// resolve on their own; paying the context-switch penalty for each
 	// would thrash.
 	SwitchPatience sim.Time
-	// RRQuantum is the round-robin rotation quantum in sub-frames
-	// (only used by the RR policy). Zero means 64.
-	RRQuantum int
 
 	// MaxWrites bounds in-flight DRAM writes (write double-buffering).
 	MaxWrites int
@@ -229,8 +226,8 @@ type Core struct {
 	rrServed   int // sub-frames served on lastLane (RR quantum)
 	kickQueued bool
 	// wakeTag lets a patience wake merge into an identical one queued
-	// straight ahead of it (see holdForCurrentLane). Bound with wakeFn;
-	// it sits in kickQueued's padding, so the Core grows no size class.
+	// straight ahead of it (see pick). Bound with wakeFn; it sits in
+	// kickQueued's padding, so the Core grows no size class.
 	wakeTag    sim.Tag
 	phase      Phase
 	phaseSince sim.Time
@@ -243,10 +240,6 @@ type Core struct {
 	stepFn         func() // end of a lane context switch: c.stepActive
 	computeDoneFn  func() // end of a compute chunk: c.computeDone
 	transferDoneFn func() // an output sub-frame crossed the SA: c.emitDone
-
-	// heads is the scheduler's scratch list of runnable lane heads,
-	// reused by every pass.
-	heads []*Job
 
 	// onLaneFault is the driver's quarantine notification; it receives
 	// the quarantined lane index and its stranded (incomplete) jobs.
@@ -587,128 +580,51 @@ func (c *Core) issueReads(j *Job) {
 	}
 }
 
-// runnableHeads collects the runnable head job of every lane, updating
-// prefetch, latch and blocked-since bookkeeping along the way. The list
-// is the core's scratch slice, valid until the next pass; nothing it
-// calls fires a completion synchronously, so no pass can re-enter it.
-func (c *Core) runnableHeads() []*Job {
-	out := c.heads[:0]
-	for _, l := range c.lanes {
-		j := l.head()
-		if j == nil {
-			continue
-		}
-		c.issueReads(j)
-		c.drainLane(j)
-		if !c.runnable(j) {
-			if j.blockedAt < 0 {
-				j.blockedAt = c.eng.Now()
-			}
-			continue
-		}
-		j.blockedAt = -1
-		out = append(out, j)
-	}
-	c.heads = out
-	return out
-}
+// rrQuantum is the RR policy's rotation quantum in sub-frames.
+const rrQuantum = 64
 
-// holdForCurrentLane applies lane stickiness: if the current lane's job
-// is merely transiently blocked, hold the datapath rather than paying a
-// context switch that will immediately bounce back. It reports whether
-// the scheduler should wait.
-//
-// Every dispatch pass that holds arms a wake at the same instant, so
-// wakes pile up back to back. They merge: kick is idempotent back to
-// back (after one call kickQueued or active is set, and the next call
-// returns at once), so one call stands for the run.
-func (c *Core) holdForCurrentLane(best *Job) bool {
-	if best == nil || c.lastLane == nil || best.lane == c.lastLane || c.cfg.SwitchPatience <= 0 {
-		return false
+// rank orders runnable lane heads under the multi-lane policies; pick
+// runs the head of lowest rank. EDF ranks by deadline, Priority by lane
+// index. RR ranks the current lane first until its quantum is spent,
+// then last, and every other lane by its rotation distance after it.
+func (c *Core) rank(j *Job) int64 {
+	switch c.cfg.Policy {
+	case EDF:
+		return int64(j.Deadline)
+	case RR:
+		n := len(c.lanes)
+		switch {
+		case c.lastLane == nil:
+			return int64(j.lane.idx)
+		case j.lane != c.lastLane:
+			return int64((j.lane.idx - c.lastLane.idx - 1 + n) % n)
+		case c.rrServed < rrQuantum:
+			return -1
+		}
+		return int64(n)
 	}
-	cur := c.lastLane.head()
-	if cur == nil || c.runnable(cur) {
-		return false
-	}
-	waited := c.eng.Now() - cur.blockedAt
-	if cur.blockedAt >= 0 && waited < c.cfg.SwitchPatience {
-		c.eng.AtMerge(cur.blockedAt+c.cfg.SwitchPatience, c.wakeTag, c.wakeFn)
-		return true
-	}
-	return false
+	return int64(j.lane.idx)
 }
 
 // pick selects the next job to run per the configured policy, or nil.
+// FCFS walks the descriptor queue: a due but blocked job blocks
+// single-context hardware, and descriptors not yet due are skipped. The
+// multi-lane policies walk the lane heads once, in lane order, and keep
+// the runnable head of lowest rank, the earlier lane on a tie. If the
+// current lane's head is merely transiently blocked, the datapath then
+// holds instead of paying a context switch that would bounce straight
+// back. That head is checked again, since a later lane's drain can free
+// its output lane when a flow chains an IP into itself. Holding passes
+// arm wakes at one instant, which merge: kick is idempotent back to back.
 func (c *Core) pick() *Job {
-	switch c.cfg.Policy {
-	case EDF:
-		var best *Job
-		for _, j := range c.runnableHeads() {
-			if best == nil || j.Deadline < best.Deadline {
-				best = j
-			}
-		}
-		if c.holdForCurrentLane(best) {
-			return nil
-		}
-		return best
-	case Priority:
-		var best *Job
-		for _, j := range c.runnableHeads() {
-			if best == nil || j.lane.idx < best.lane.idx {
-				best = j
-			}
-		}
-		if c.holdForCurrentLane(best) {
-			return nil
-		}
-		return best
-	case RR:
-		heads := c.runnableHeads()
-		if len(heads) == 0 {
-			return nil
-		}
-		quantum := c.cfg.RRQuantum
-		if quantum <= 0 {
-			quantum = 64
-		}
-		// Stay on the current lane until its quantum expires.
-		if c.lastLane != nil && c.rrServed < quantum {
-			for _, j := range heads {
-				if j.lane == c.lastLane {
-					return j
-				}
-			}
-		}
-		// Rotate: the next runnable lane after the current one.
-		lastIdx := -1
-		if c.lastLane != nil {
-			lastIdx = c.lastLane.idx
-		}
-		var best *Job
-		bestKey := 1 << 30
-		n := len(c.lanes)
-		for _, j := range heads {
-			key := (j.lane.idx - lastIdx - 1 + 2*n) % n
-			if j.lane.idx == lastIdx {
-				key = n // own lane last
-			}
-			if key < bestKey {
-				bestKey = key
-				best = j
-			}
-		}
-		if c.holdForCurrentLane(best) {
-			return nil
-		}
-		return best
-	default: // FCFS: in-order service of the timed descriptor queue.
+	now := c.eng.Now()
+	if c.cfg.Policy == FCFS {
 		for _, l := range c.lanes {
 			for _, j := range l.jobs {
 				if j.done {
 					continue
 				}
-				if !j.started && j.NotBefore > c.eng.Now() && !j.Gated {
+				if !j.started && j.NotBefore > now && !j.Gated {
 					// Not yet due (presentationTime pacing): the
 					// descriptor queue moves past it. Same-flow order is
 					// safe because a flow's due times are monotone.
@@ -726,6 +642,35 @@ func (c *Core) pick() *Job {
 		}
 		return nil
 	}
+	var best, cur *Job
+	var bestRank int64
+	for _, l := range c.lanes {
+		j := l.head()
+		if j == nil {
+			continue
+		}
+		c.issueReads(j)
+		c.drainLane(j)
+		if !c.runnable(j) {
+			if j.blockedAt < 0 {
+				j.blockedAt = now
+			}
+			if l == c.lastLane {
+				cur = j
+			}
+			continue
+		}
+		j.blockedAt = -1
+		if r := c.rank(j); best == nil || r < bestRank {
+			best, bestRank = j, r
+		}
+	}
+	if best != nil && cur != nil && c.cfg.SwitchPatience > 0 &&
+		now-cur.blockedAt < c.cfg.SwitchPatience && !c.runnable(cur) {
+		c.eng.AtMerge(cur.blockedAt+c.cfg.SwitchPatience, c.wakeTag, c.wakeFn)
+		return nil
+	}
+	return best
 }
 
 // dispatch runs the scheduler: pick a job and execute its next chunk.

@@ -403,28 +403,34 @@ func TestFCFSServesInOrder(t *testing.T) {
 }
 
 func TestEDFPrefersEarlierDeadline(t *testing.T) {
-	r := newRig()
-	cfg := testConfig("vd")
-	cfg.Lanes = 2
-	cfg.Policy = EDF
-	c := r.newCore(cfg)
-	var order []string
-	mk := func(name string, dl sim.Time) *Job {
-		return &Job{Label: name, InBytes: 16 << 10, OutBytes: 16 << 10,
-			InFromDRAM: true, OutToDRAM: true, Deadline: dl,
-			OnDone: func() { order = append(order, name) }}
-	}
-	// Submit the late-deadline job first; EDF should still finish the
-	// early-deadline one first.
-	if err := c.Submit(0, mk("late", 100*sim.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Submit(1, mk("early", 1*sim.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	r.eng.Run(sim.Second)
-	if len(order) != 2 || order[0] != "early" {
-		t.Errorf("order = %v, want early first", order)
+	// Lane 0's job is submitted first in each case: EDF still finishes
+	// the earlier deadline first, and the earlier lane on a tie.
+	for _, tc := range []struct {
+		deadlines [2]sim.Time
+		first     int
+	}{
+		{[2]sim.Time{100 * sim.Millisecond, sim.Millisecond}, 1},
+		{[2]sim.Time{10 * sim.Millisecond, 10 * sim.Millisecond}, 0},
+	} {
+		r := newRig()
+		cfg := testConfig("vd")
+		cfg.Lanes = 2
+		cfg.Policy = EDF
+		c := r.newCore(cfg)
+		var order []int
+		for lane, dl := range tc.deadlines {
+			lane := lane
+			j := &Job{Label: "f", InBytes: 16 << 10, OutBytes: 16 << 10,
+				InFromDRAM: true, OutToDRAM: true, Deadline: dl,
+				OnDone: func() { order = append(order, lane) }}
+			if err := c.Submit(lane, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.eng.Run(sim.Second)
+		if len(order) != 2 || order[0] != tc.first {
+			t.Errorf("deadlines %v: order = %v, want lane %d first", tc.deadlines, order, tc.first)
+		}
 	}
 }
 
@@ -765,13 +771,14 @@ func TestRRPolicyRotatesFairly(t *testing.T) {
 	cfg := testConfig("vd")
 	cfg.Lanes = 2
 	cfg.Policy = RR
-	cfg.RRQuantum = 4
 	cfg.CtxSwitch = 100 * sim.Nanosecond
 	c := r.newCore(cfg)
+	// 512 sub-frames per job: eight quanta on each lane.
+	const chunks = 512
 	var done [2]sim.Time
 	for lane := 0; lane < 2; lane++ {
 		lane := lane
-		j := &Job{Label: "f", InBytes: 64 << 10, OutBytes: 64 << 10,
+		j := &Job{Label: "f", InBytes: chunks << 10, OutBytes: chunks << 10,
 			InFromDRAM: true, OutToDRAM: true,
 			// Deadlines would make EDF serve lane 0 first entirely;
 			// RR must interleave regardless.
@@ -793,8 +800,10 @@ func TestRRPolicyRotatesFairly(t *testing.T) {
 	if float64(gap) > 0.25*float64(done[1]) {
 		t.Errorf("RR should interleave: done at %v and %v", done[0], done[1])
 	}
-	if c.Stats().CtxSwitch < 10 {
-		t.Errorf("RR with quantum 4 over 64 chunks should switch often, got %d", c.Stats().CtxSwitch)
+	// Two lanes alternate at least once per quantum until both finish.
+	if want := uint64(2*chunks/rrQuantum - 1); c.Stats().CtxSwitch < want {
+		t.Errorf("RR with quantum %d over %d chunks per lane should switch at least %d times, got %d",
+			rrQuantum, chunks, want, c.Stats().CtxSwitch)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // the downstream stage's lane (OutLane), or nowhere (a sink IP such as
 // the display consumes it).
 type Job struct {
-	// Label identifies the job in logs/tests, e.g. "app0/vd/f3".
+	// Label names the job's completion mark on the phase timeline; the
+	// driver sets it only when that timeline is recorded.
 	Label string
 	// FlowID groups the jobs of one application flow.
 	FlowID int
@@ -101,22 +102,22 @@ type Job struct {
 
 // Validate checks the job's shape; the Core calls it on Submit.
 func (j *Job) Validate() error {
-	if j.InBytes < 0 || j.OutBytes < 0 {
-		return fmt.Errorf("ipcore: job %q has negative sizes", j.Label)
+	var problem string
+	switch {
+	case j.InBytes < 0 || j.OutBytes < 0:
+		problem = "has negative sizes"
+	case j.InBytes == 0 && j.OutBytes == 0:
+		problem = "moves no data"
+	case j.InFromDRAM && j.InBytes == 0:
+		problem = "reads DRAM but has no input"
+	case j.OutToDRAM && j.OutLane != nil:
+		problem = "has two output paths"
+	case (j.OutToDRAM || j.OutLane != nil) && j.OutBytes == 0:
+		problem = "has an output path but no output bytes"
+	default:
+		return nil
 	}
-	if j.InBytes == 0 && j.OutBytes == 0 {
-		return fmt.Errorf("ipcore: job %q moves no data", j.Label)
-	}
-	if j.InFromDRAM && j.InBytes == 0 {
-		return fmt.Errorf("ipcore: job %q reads DRAM but has no input", j.Label)
-	}
-	if j.OutToDRAM && j.OutLane != nil {
-		return fmt.Errorf("ipcore: job %q has two output paths", j.Label)
-	}
-	if (j.OutToDRAM || j.OutLane != nil) && j.OutBytes == 0 {
-		return fmt.Errorf("ipcore: job %q has an output path but no output bytes", j.Label)
-	}
-	return nil
+	return fmt.Errorf("ipcore: job of flow %d, frame %d, stage %d %s", j.FlowID, j.Frame, j.Stage, problem)
 }
 
 // Done reports whether the job has fully completed.

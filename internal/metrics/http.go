@@ -25,7 +25,6 @@ type HTTPServer struct {
 	broker   *SSEBroker
 
 	srv *http.Server
-	ln  net.Listener
 }
 
 // NewHTTPServer returns a server with an empty snapshot. Call Start to
@@ -161,7 +160,6 @@ func (h *HTTPServer) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	h.ln = ln
 	h.srv = &http.Server{Handler: h.Handler()}
 	go func() { _ = h.srv.Serve(ln) }()
 	return ln.Addr().String(), nil

@@ -307,7 +307,6 @@ type Server struct {
 	accessMu sync.Mutex // serializes AccessLog writes
 
 	srv *http.Server
-	ln  net.Listener
 }
 
 // New builds a server and starts its worker pool. With Config.CacheDir
@@ -356,7 +355,6 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.ln = ln
 	s.srv = &http.Server{Handler: s.Handler()}
 	go func() { _ = s.srv.Serve(ln) }()
 	return ln.Addr().String(), nil
