@@ -12,11 +12,11 @@
 // go/importer, so the module keeps zero external dependencies and the
 // linter builds offline with nothing but the Go toolchain.
 //
-// Violations that are intentional — e.g. the wall-clock self-profile —
-// are silenced in place with a comment directive on the offending line
-// or the line directly above it:
+// Violations that are intentional — e.g. vipserve's host clock — are
+// silenced in place with a comment directive on the offending line or
+// the line directly above it:
 //
-//	wallStart := time.Now() //viplint:allow simdeterminism -- host-side profiling only
+//	return time.Now() //viplint:allow simdeterminism -- host service clock (deadlines/uptime), never simulated state
 //
 // The directive names the rule (comma-separate several); everything
 // after "--" is a human-readable justification. Undirected suppression

@@ -7,9 +7,9 @@ import (
 )
 
 // ErrCheckCodec flags discarded errors from the module's codec and
-// accounting surfaces: HeaderPacket Decode*, Scenario/Config Validate*,
-// and report/exporter Write* methods. These errors are the only signal
-// that a wire header was malformed, a scenario was rejected, or an
+// accounting surfaces: Decode*, Scenario/Config Validate*, and
+// report/exporter Write* methods. These errors are the only signal
+// that an input was malformed, a scenario was rejected, or an
 // output artifact is truncated — swallowing them turns hard failures
 // into silently wrong evaluation data. Generic errcheck linters are not
 // in CI and would not scope the rule to these repo-critical call sites.

@@ -16,17 +16,20 @@ func (report) WriteJSON(w io.Writer) error { return nil }
 func (report) Validate() error             { return nil }
 func (report) String() string              { return "" } // not policed
 
-func discards(w io.Writer, b []byte) {
+// DecodeFrame is a fixture-local decoder, policed like the module's.
+func DecodeFrame(b []byte) (int, error) { return len(b), nil }
+
+func discards(w io.Writer, b []byte, cr *core.Report) {
 	var rep report
-	rep.WriteJSON(w)                   // want `error from WriteJSON discarded \(return value dropped\)`
-	_ = rep.Validate()                 // want `error from Validate assigned to _`
-	core.DecodeHeaderPacket(b)         // want `error from DecodeHeaderPacket discarded \(return value dropped\)`
-	h, _ := core.DecodeHeaderPacket(b) // want `error from DecodeHeaderPacket assigned to _`
-	_ = h
+	rep.WriteJSON(w)       // want `error from WriteJSON discarded \(return value dropped\)`
+	_ = rep.Validate()     // want `error from Validate assigned to _`
+	cr.WriteJSON(w)        // want `error from WriteJSON discarded \(return value dropped\)`
+	n, _ := DecodeFrame(b) // want `error from DecodeFrame assigned to _`
+	_ = n
 	defer rep.WriteJSON(w) // want `error from WriteJSON discarded \(deferred result dropped\)`
 }
 
-func handles(w io.Writer, b []byte) error {
+func handles(w io.Writer, b []byte, cr *core.Report) error {
 	var rep report
 	if err := rep.WriteJSON(w); err != nil {
 		return err
@@ -34,11 +37,14 @@ func handles(w io.Writer, b []byte) error {
 	if err := rep.Validate(); err != nil {
 		return err
 	}
-	h, err := core.DecodeHeaderPacket(b)
+	if err := cr.WriteJSON(w); err != nil {
+		return err
+	}
+	n, err := DecodeFrame(b)
 	if err != nil {
 		return err
 	}
-	_ = h
+	_ = n
 	_ = rep.String() // String is not a codec surface
 	return nil
 }

@@ -132,15 +132,6 @@ func (f *Flow) StageIn(i int) int {
 	return f.Stages[i-1].OutBytes
 }
 
-// Chain returns the IP kinds of the flow, for chain instantiation.
-func (f *Flow) Chain() []ipcore.Kind {
-	ks := make([]ipcore.Kind, len(f.Stages))
-	for i, s := range f.Stages {
-		ks[i] = s.Kind
-	}
-	return ks
-}
-
 // Touch selects the user-interaction model of a game app (§4.3).
 type Touch int
 

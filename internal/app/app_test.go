@@ -78,10 +78,6 @@ func TestStageIn(t *testing.T) {
 
 func TestChainAndPeriod(t *testing.T) {
 	f := videoFlow()
-	ch := f.Chain()
-	if len(ch) != 2 || ch[0] != ipcore.VD || ch[1] != ipcore.DC {
-		t.Errorf("Chain = %v", ch)
-	}
 	if p := f.Period(); p < 16*sim.Millisecond || p > 17*sim.Millisecond {
 		t.Errorf("Period = %v", p)
 	}

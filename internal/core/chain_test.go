@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/vipsim/vip/internal/app"
@@ -18,49 +17,36 @@ func testVideoFlow() *app.Flow {
 
 func TestHeaderPacketSize(t *testing.T) {
 	// §5.4: ~1KB of context per IP, ~4KB for the longest (4-IP) flow.
-	h := HeaderPacket{IPs: []ipcore.Kind{ipcore.CAM, ipcore.VE, ipcore.NW}}
-	if got := h.Bytes(); got < 3<<10 || got > 3<<10+64 {
+	if got := headerBytes(3); got < 3<<10 || got > 3<<10+64 {
 		t.Errorf("3-IP header = %d bytes, want ~3KB", got)
 	}
-	h4 := HeaderPacket{IPs: []ipcore.Kind{ipcore.CAM, ipcore.IMG, ipcore.VE, ipcore.MMC}}
-	if got := h4.Bytes(); got < 4<<10 || got > 4<<10+64 {
+	if got := headerBytes(4); got < 4<<10 || got > 4<<10+64 {
 		t.Errorf("4-IP header = %d bytes, paper expects ~4KB", got)
 	}
 }
 
 func TestChainOpenAssignsDistinctLanesUnderVIP(t *testing.T) {
-	p := platform.New(platform.DefaultConfig(platform.VIP))
-	cm := newChainManager(p)
+	r := &Runner{p: platform.New(platform.DefaultConfig(platform.VIP))}
 	f := testVideoFlow()
-	c1, err := cm.open(0, f)
-	if err != nil {
-		t.Fatal(err)
+	l1 := r.openLanes(f)
+	l2 := r.openLanes(f)
+	if len(l1) != len(f.Stages) {
+		t.Fatalf("lanes = %v", l1)
 	}
-	c2, err := cm.open(1, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c1.Lanes) != len(f.Stages) {
-		t.Fatalf("lanes = %v", c1.Lanes)
-	}
-	for i := range c1.Lanes {
-		if c1.Lanes[i] == c2.Lanes[i] {
-			t.Errorf("stage %d: both flows share lane %d despite free lanes", i, c1.Lanes[i])
+	for i := range l1 {
+		if l1[i] == l2[i] {
+			t.Errorf("stage %d: both flows share lane %d despite free lanes", i, l1[i])
 		}
-	}
-	if c1.ID == c2.ID {
-		t.Error("chain ids must be unique")
 	}
 }
 
 func TestChainOpenSharesLaneZeroOnBaseline(t *testing.T) {
-	p := platform.New(platform.DefaultConfig(platform.Baseline))
-	cm := newChainManager(p)
+	r := &Runner{p: platform.New(platform.DefaultConfig(platform.Baseline))}
 	f := testVideoFlow()
-	c1, _ := cm.open(0, f)
-	c2, _ := cm.open(1, f)
-	for i := range c1.Lanes {
-		if c1.Lanes[i] != 0 || c2.Lanes[i] != 0 {
+	l1 := r.openLanes(f)
+	l2 := r.openLanes(f)
+	for i := range l1 {
+		if l1[i] != 0 || l2[i] != 0 {
 			t.Error("single-lane hardware always uses lane 0")
 		}
 	}
@@ -68,16 +54,12 @@ func TestChainOpenSharesLaneZeroOnBaseline(t *testing.T) {
 
 func TestChainLaneWrapsWhenOverSubscribed(t *testing.T) {
 	p := platform.New(platform.DefaultConfig(platform.VIP))
-	cm := newChainManager(p)
+	r := &Runner{p: p}
 	f := testVideoFlow()
 	lanes := p.IP(ipcore.VD).Lanes()
 	seen := map[int]int{}
 	for i := 0; i < lanes+2; i++ {
-		c, err := cm.open(i, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[c.Lanes[0]]++
+		seen[r.openLanes(f)[0]]++
 	}
 	// All lanes used before any is reused.
 	for lane, n := range seen {
@@ -87,16 +69,6 @@ func TestChainLaneWrapsWhenOverSubscribed(t *testing.T) {
 	}
 	if len(seen) != lanes {
 		t.Errorf("used %d distinct lanes, want %d", len(seen), lanes)
-	}
-}
-
-func TestChainString(t *testing.T) {
-	p := platform.New(platform.DefaultConfig(platform.VIP))
-	cm := newChainManager(p)
-	c, _ := cm.open(0, testVideoFlow())
-	s := c.String()
-	if !strings.Contains(s, "VD") || !strings.Contains(s, "DC") {
-		t.Errorf("String = %q", s)
 	}
 }
 

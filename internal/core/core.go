@@ -6,8 +6,9 @@
 // The package plays the role of the Android driver stack plus the
 // proposed VIP extensions:
 //
-//   - chain instantiation (the open() call of Figures 9-11) with header
-//     packets (Figure 12) carrying per-IP contexts;
+//   - chain instantiation (the open() call of Figures 9-11): one lane
+//     per hop, and a header packet (Figure 12) sized per IP ahead of
+//     each chained frame or burst;
 //   - frame-burst scheduling (Schedule_FrameBurst), including GOP-derived
 //     burst sizes for codec apps and touch-aware hybrid bursting for
 //     games (§4.3);

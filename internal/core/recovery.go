@@ -120,9 +120,9 @@ func (r *Runner) timerInterrupt(then func()) {
 // whose jobs were stranded on it.
 func (r *Runner) onLaneFault(kind ipcore.Kind, lane int, stranded []*ipcore.Job) {
 	for _, fs := range r.flows {
-		for s, k := range fs.chain.Kinds {
-			if k == kind && fs.chain.Lanes[s] == lane {
-				fs.chain.Lanes[s] = r.cm.moveLane(kind, lane)
+		for s, st := range fs.spec.Stages {
+			if st.Kind == kind && fs.lanes[s] == lane {
+				fs.lanes[s] = r.moveLane(kind, lane)
 			}
 		}
 	}

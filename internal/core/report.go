@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -43,19 +42,12 @@ type IPReport struct {
 	Stats ipcore.Stats
 }
 
-// SimProfile is the simulator's own performance profile for one run:
-// wall-clock throughput of the event engine and the heap it used. These
-// are measurements of the simulator, not of the simulated platform. The
-// host-dependent fields are excluded from JSON so that WriteJSON stays
-// byte-identical across same-seed runs (the invariant viplint's
-// simdeterminism rule and vip's reproducibility test enforce); they
-// remain available in memory for the text summary and benchmarks.
+// SimProfile is the simulator's own profile for one run: the model
+// events the engine fired and the metrics sampler's cadence. These
+// describe the simulator, not the simulated platform, and depend on
+// nothing but the scenario, so same-seed reports stay byte-identical.
 type SimProfile struct {
 	EventsFired       uint64
-	WallSeconds       float64 `json:"-"`
-	EventsPerWallSec  float64 `json:"-"`
-	SimPerWallSec     float64 `json:"-"` // simulated seconds per wall second
-	HeapAllocBytes    uint64  `json:"-"`
 	MetricsSamples    int
 	MetricsIntervalNS int64
 }
@@ -100,7 +92,7 @@ type Report struct {
 	// Game bursting.
 	Rollbacks int
 
-	// Sim is the simulator's self-profile (engine throughput, heap).
+	// Sim is the simulator's self-profile (engine events, sampler).
 	Sim SimProfile
 
 	// Faults summarises fault injection and recovery; nil (and omitted
@@ -207,17 +199,7 @@ func (r *Runner) buildReport() *Report {
 	rep.BWHistogram = r.p.Mem.BandwidthHistogram(10)
 	rep.TimeAbove80 = r.p.Mem.TimeAboveUtilization(0.8)
 
-	rep.Sim = SimProfile{
-		EventsFired: r.p.Eng.Fired(),
-		WallSeconds: r.simWallSeconds,
-	}
-	if rep.Sim.WallSeconds > 0 {
-		rep.Sim.EventsPerWallSec = float64(rep.Sim.EventsFired) / rep.Sim.WallSeconds
-		rep.Sim.SimPerWallSec = r.opts.Duration.Seconds() / rep.Sim.WallSeconds
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	rep.Sim.HeapAllocBytes = ms.HeapAlloc
+	rep.Sim = SimProfile{EventsFired: r.p.Eng.Fired()}
 	if r.sampler != nil {
 		rep.Sim.MetricsSamples = r.sampler.Samples()
 		rep.Sim.MetricsIntervalNS = int64(r.sampler.Interval())

@@ -71,18 +71,11 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 // TestReportSelfProfile checks the simulator's own observability: the
-// report carries engine event counts, wall-clock rates and the sampler's
-// sample count.
+// report carries engine event counts and the sampler's sample count.
 func TestReportSelfProfile(t *testing.T) {
 	rep := metricsRun(t)
 	if rep.Sim.EventsFired == 0 {
 		t.Error("EventsFired must be counted")
-	}
-	if rep.Sim.WallSeconds <= 0 || rep.Sim.EventsPerWallSec <= 0 || rep.Sim.SimPerWallSec <= 0 {
-		t.Errorf("wall-clock profile not filled: %+v", rep.Sim)
-	}
-	if rep.Sim.HeapAllocBytes == 0 {
-		t.Error("HeapAllocBytes must be sampled")
 	}
 	if rep.Sim.MetricsSamples != 100 || rep.Sim.MetricsIntervalNS != int64(sim.Millisecond) {
 		t.Errorf("sampler profile = %+v, want 100 samples at 1ms", rep.Sim)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"github.com/vipsim/vip/internal/app"
 	"github.com/vipsim/vip/internal/cpu"
@@ -22,7 +21,9 @@ type Runner struct {
 	// recovery is the platform's Recovery switch (see recovery.go).
 	recovery bool
 	apps     []app.Spec
-	cm       *chainManager
+	// laneUse counts the flows bound to each lane, indexed by kind, so
+	// distinct flows get distinct lanes while the hardware has capacity.
+	laneUse [ipcore.NumKinds][]int
 
 	flows     []*flowState
 	rollbacks int
@@ -32,12 +33,11 @@ type Runner struct {
 	// platform has no metrics registry; spans is nil (no-op) when span
 	// tracing is off, and phases is spans when it records the phase
 	// category, else nil.
-	spans          *telemetry.Recorder
-	phases         *telemetry.Recorder
-	sampler        *metrics.Sampler
-	counts         []count
-	dFlowTimeMS    *metrics.Distribution
-	simWallSeconds float64
+	spans       *telemetry.Recorder
+	phases      *telemetry.Recorder
+	sampler     *metrics.Sampler
+	counts      []count
+	dFlowTimeMS *metrics.Distribution
 
 	// Fault-recovery bookkeeping (see recovery.go).
 	frameTimeouts int
@@ -114,7 +114,8 @@ type flowState struct {
 	spec   *app.Flow
 	aspec  *app.Spec
 	qos    *app.QoS
-	chain  *Chain
+	// lanes is the chain: the lane bound at each stage's IP.
+	lanes  []int
 	period sim.Time
 	phase  sim.Time // release-time offset of frame 0
 	track  string   // timeline/span track name, "flow<id>:<app>/<flow>"
@@ -180,7 +181,7 @@ func NewRunner(p *platform.Platform, apps []app.Spec, opts Options) (*Runner, er
 	if len(apps) == 0 {
 		return nil, fmt.Errorf("core: no applications")
 	}
-	r := &Runner{p: p, opts: opts, recovery: p.Config().Recovery, apps: apps, cm: newChainManager(p),
+	r := &Runner{p: p, opts: opts, recovery: p.Config().Recovery, apps: apps,
 		spans: p.Spans(), phases: p.Spans().Phases()}
 	// The distribution handle is nil-safe: on a platform without a
 	// registry it is nil and every observation is a no-op.
@@ -212,11 +213,7 @@ func NewRunner(p *platform.Platform, apps []app.Spec, opts Options) (*Runner, er
 			fs.track = fmt.Sprintf("flow%d:%s/%s", fs.id, a.ID, f.Name)
 			fs.ring = maxBacklog + opts.BurstSize + 2
 			r.allocBuffers(fs)
-			ch, err := r.cm.open(fs.id, f)
-			if err != nil {
-				return nil, err
-			}
-			fs.chain = ch
+			fs.lanes = r.openLanes(f)
 			r.flows = append(r.flows, fs)
 		}
 	}
@@ -279,12 +276,7 @@ func (r *Runner) Run() (*Report, error) {
 		r.sampler.OnSample = r.opts.OnMetricsSample
 	}
 
-	// The wall clock here profiles the simulator itself (engine
-	// throughput); it never feeds simulated state or the report's
-	// deterministic fields.
-	wallStart := time.Now() //viplint:allow simdeterminism,walltime -- host-side self-profile only
 	r.p.Eng.Run(r.opts.Duration)
-	r.simWallSeconds = time.Since(wallStart).Seconds() //viplint:allow simdeterminism,walltime -- host-side self-profile only
 	r.p.FinalizeAccounting()
 
 	// Expire frames that were submitted but never finished and are past
@@ -476,7 +468,7 @@ func (r *Runner) makeJob(fs *flowState, frame, s int, chained bool) *ipcore.Job 
 	if st.OutBytes > 0 {
 		if chained {
 			next := fs.spec.Stages[s+1].Kind
-			j.OutLane = r.p.IP(next).Lane(fs.chain.Lanes[s+1])
+			j.OutLane = r.p.IP(next).Lane(fs.lanes[s+1])
 		} else {
 			j.OutToDRAM = true
 			j.OutAddr = fs.stageOut[s][frame%fs.ring]
@@ -501,7 +493,7 @@ func (r *Runner) submitJob(fs *flowState, s int, j *ipcore.Job) {
 			rec.jobs = append(rec.jobs, trackedJob{kind: kind, job: j})
 		}
 	}
-	if err := r.p.IP(kind).Submit(fs.chain.Lanes[s], j); err != nil {
+	if err := r.p.IP(kind).Submit(fs.lanes[s], j); err != nil {
 		panic(fmt.Sprintf("core: submit %s: %v", fs.jobName(s, j.Frame), err))
 	}
 }
@@ -625,7 +617,9 @@ func (r *Runner) submitChained(fs *flowState, frames []int, burst bool) {
 		d = chainSetupBase + sim.Time(hops)*chainSetupPerHop + fs.spec.CPUPrep
 	}
 	r.cpuTask(fs.appIdx, "chain-setup", d, func() {
-		r.cm.sendHeader(fs.chain, b)
+		// The header packet crosses the SA ahead of the frames (§5.4:
+		// negligible but not free).
+		r.p.SA.Transfer(headerBytes(hops), nil)
 		lastFrame := frames[len(frames)-1]
 		for _, frame := range frames {
 			frame := frame

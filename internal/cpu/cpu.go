@@ -188,9 +188,6 @@ func (cx *Complex) Stats() Stats { return cx.stats }
 // NumCores reports the core count.
 func (cx *Complex) NumCores() int { return len(cx.cores) }
 
-// QueueLen reports queued-but-unstarted tasks on core i.
-func (cx *Complex) QueueLen(i int) int { return len(cx.cores[i%len(cx.cores)].queue) }
-
 // Exec runs t on the core selected by hint (wrapped modulo the core
 // count, so callers can use an application index as affinity).
 func (cx *Complex) Exec(hint int, t *Task) {

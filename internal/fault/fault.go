@@ -201,14 +201,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 // Enabled reports whether the injector is active.
 func (i *Injector) Enabled() bool { return i != nil && i.cfg.Enabled() }
 
-// Config returns the injector's configuration (zero on nil).
-func (i *Injector) Config() Config {
-	if i == nil {
-		return Config{}
-	}
-	return i.cfg
-}
-
 // Counts returns the faults delivered so far.
 func (i *Injector) Counts() Counts {
 	if i == nil {

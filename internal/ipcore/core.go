@@ -614,8 +614,9 @@ func (c *Core) rank(j *Job) int64 {
 // current lane's head is merely transiently blocked, the datapath then
 // holds instead of paying a context switch that would bounce straight
 // back. That head is checked again, since a later lane's drain can free
-// its output lane when a flow chains an IP into itself. Holding passes
-// arm wakes at one instant, which merge: kick is idempotent back to back.
+// its output lane when a flow chains an IP into itself
+// (TestNoHoldWhenWalkFreesCurrentHead). Holding passes arm wakes at one
+// instant, which merge: kick is idempotent back to back.
 func (c *Core) pick() *Job {
 	now := c.eng.Now()
 	if c.cfg.Policy == FCFS {

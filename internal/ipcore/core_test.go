@@ -463,6 +463,56 @@ func TestEDFInterleavesAtSubframes(t *testing.T) {
 	}
 }
 
+func TestNoHoldWhenWalkFreesCurrentHead(t *testing.T) {
+	// A flow chains the IP into another lane of itself: producers on
+	// lane 0 feed consumers on lane 1. With no OutConsumer set, p2 fills
+	// lane 1 for c2 while c1, lane 1's head, waits on its DRAM writes (a
+	// slow memory), then parks on its next output chunk. When c1 retires, the walk finds p2
+	// blocked before lane 1's drain into c2 frees room for it. p2 is
+	// runnable again by the end of the walk, so the patience hold must
+	// not idle the core: it dispatches at once.
+	r := newRig()
+	mcfg := dram.DefaultConfig()
+	mcfg.TREFI = 0
+	mcfg.ChannelBPS = 1e8
+	r.mem = dram.NewController(r.eng, mcfg, r.acct)
+	cfg := testConfig("ip")
+	cfg.Lanes = 2
+	cfg.Policy = EDF
+	cfg.CtxSwitch = 100 * sim.Nanosecond
+	cfg.SwitchPatience = 5 * sim.Microsecond
+	c := r.newCore(cfg)
+	var c2Done sim.Time
+	lane1Full, dispatched := false, false
+	c1 := &Job{Label: "c1", InBytes: 2 << 10, OutBytes: 2 << 10, OutToDRAM: true, Deadline: sim.Millisecond,
+		OnDone: func() {
+			lane1Full = c.Lane(1).Used() == c.Lane(1).Capacity()
+			r.eng.At(r.eng.Now()+1, func() { dispatched = c.active != nil })
+		}}
+	c2 := &Job{Label: "c2", InBytes: 4 << 10, Deadline: 2 * sim.Millisecond,
+		OnDone: func() { c2Done = r.eng.Now() }}
+	p1 := &Job{Label: "p1", OutBytes: 2 << 10, OutLane: c.Lane(1), Deadline: sim.Millisecond}
+	p2 := &Job{Label: "p2", OutBytes: 4 << 10, OutLane: c.Lane(1), Deadline: 2 * sim.Millisecond}
+	for _, s := range []struct {
+		lane int
+		j    *Job
+	}{{1, c1}, {1, c2}, {0, p1}, {0, p2}} {
+		if err := c.Submit(s.lane, s.j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.eng.Run(sim.Second)
+	if c2Done == 0 {
+		t.Fatal("chain did not finish")
+	}
+	if !lane1Full {
+		t.Fatal("p2 did not fill lane 1 before c1 retired; the case is not exercised")
+	}
+	if !dispatched {
+		t.Error("the core held although the walk left its current head runnable")
+	}
+}
+
 func TestFCFSSingleContextBlocksOnHead(t *testing.T) {
 	// FCFS head blocked on flow-buffer data must not let a later job
 	// overtake it (single hardware context).

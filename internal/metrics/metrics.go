@@ -27,8 +27,7 @@ type GaugeFunc func() float64
 // summarises them as count/mean/percentiles in reports. Methods on a nil
 // Distribution are no-ops.
 type Distribution struct {
-	name string
-	s    stats.Sample
+	s stats.Sample
 }
 
 // Observe records one observation.
@@ -37,14 +36,6 @@ func (d *Distribution) Observe(v float64) {
 		return
 	}
 	d.s.Add(v)
-}
-
-// Name reports the distribution's registered name.
-func (d *Distribution) Name() string {
-	if d == nil {
-		return ""
-	}
-	return d.name
 }
 
 // Summary reports the distribution's headline statistics.
@@ -102,7 +93,7 @@ func (r *Registry) Distribution(name string) *Distribution {
 	}
 	d, ok := r.dists[name]
 	if !ok {
-		d = &Distribution{name: name}
+		d = &Distribution{}
 		r.dists[name] = d
 	}
 	return d

@@ -215,7 +215,8 @@ type SimRequest struct {
 	FaultSeed         uint64   `json:"fault_seed,omitempty"`
 	FaultNoRecovery   bool     `json:"fault_no_recovery,omitempty"`
 	// DeadlineMS tightens this request's EDF deadline and, for sync
-	// requests, the wait budget (default Config.SyncDeadline).
+	// requests, the wait budget: the smaller of it and the default
+	// (Config.SyncDeadline, or Config.BulkDeadline when async) applies.
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`
 }
 
@@ -433,8 +434,11 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	if async {
 		deadline = s.cfg.BulkDeadline
 	}
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS * float64(time.Millisecond))
+	// deadline_ms only tightens. It is compared in milliseconds before
+	// it is converted, so no value can wrap the duration or push the
+	// EDF ordinal past the int64 nanosecond range.
+	if ms := req.DeadlineMS; ms > 0 && ms < float64(deadline)/float64(time.Millisecond) {
+		deadline = time.Duration(ms * float64(time.Millisecond))
 	}
 	rs.Hash = hash
 	rs.Async = async

@@ -400,3 +400,70 @@ func TestSyncDeadlineExpires(t *testing.T) {
 		t.Errorf("504 body not marked retryable: %s", body)
 	}
 }
+
+// TestDeadlineMSOnlyTightens: deadline_ms can shorten a request's
+// deadline but never lengthen it. Converted unbounded, a huge value
+// wrapped the sync wait budget negative (an instant 504) or overflowed
+// the EDF ordinal, so an async job dispatched ahead of every queued job.
+func TestDeadlineMSOnlyTightens(t *testing.T) {
+	t.Run("sync", func(t *testing.T) {
+		s := New(Config{Workers: 1, Run: func(vip.Scenario) ([]byte, error) { return []byte(`{}`), nil }})
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		resp, body := post(t, ts.URL, "/v1/sim", `{"apps":["A5"],"seed":60,"deadline_ms":1e13}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sync POST with deadline_ms 1e13 = %d, want 200: %s", resp.StatusCode, body)
+		}
+	})
+	t.Run("async", func(t *testing.T) {
+		gate := make(chan struct{})
+		ran := make(chan uint64, 8)
+		s := New(Config{
+			Workers:      1,
+			QueueDepth:   8,
+			SyncDeadline: 10 * time.Second, // bounds the wait when the order is wrong
+			Run: func(sc vip.Scenario) ([]byte, error) {
+				ran <- sc.Seed
+				<-gate
+				return []byte(`{}`), nil
+			},
+		})
+		defer func() { close(gate); s.Close() }()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+
+		if resp, b := post(t, ts.URL, "/v1/sim?async=1", `{"apps":["A5"],"seed":61}`); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async POST = %d: %s", resp.StatusCode, b)
+		}
+		<-ran // the worker is held
+		syncDone := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/sim", "application/json",
+				strings.NewReader(`{"apps":["A5"],"seed":62}`))
+			if err != nil {
+				syncDone <- 0
+				return
+			}
+			resp.Body.Close()
+			syncDone <- resp.StatusCode
+		}()
+		for wait := time.Now().Add(5 * time.Second); s.pool.Stats().Depth < 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(wait) {
+				t.Fatal("sync job never queued")
+			}
+		}
+		if resp, b := post(t, ts.URL, "/v1/sim?async=1", `{"apps":["A5"],"seed":63,"deadline_ms":9e12}`); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async POST with deadline_ms 9e12 = %d: %s", resp.StatusCode, b)
+		}
+		gate <- struct{}{} // release the held job; the next one runs
+		if first := <-ran; first != 62 {
+			t.Errorf("seed %d ran before the earlier-queued sync job", first)
+		}
+		gate <- struct{}{}
+		if code := <-syncDone; code != http.StatusOK {
+			t.Errorf("sync POST = %d, want 200", code)
+		}
+		<-ran
+	})
+}
